@@ -20,6 +20,7 @@ from .boundary import (
     BoundaryFunction,
     bmo_norm,
     conjugate_mirror,
+    h2_defect,
     lp_norm,
     riesz_project,
 )
@@ -293,8 +294,6 @@ def projection_decay_report(
     finite product both numbers are finite; trend studies over nested
     truncations compare their growth.
     """
-    from .boundary import h2_defect  # local import to keep module deps flat
-
     if h2_defect(f) > tol:
         raise ValueError("projection_decay_report expects f in H2")
     grid = f.grid

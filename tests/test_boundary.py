@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import kernel_combination, random_zero_sequence
 from modelspace import (
@@ -18,6 +20,7 @@ from modelspace import (
     h2_defect,
     inner,
     kernel_l1_quadrature,
+    log_samples,
     lp_norm,
     membership_defect,
     model_project,
@@ -26,6 +29,7 @@ from modelspace import (
     tilde,
     toeplitz_coanalytic,
 )
+from modelspace.boundary import _arc_oscillation_max
 
 
 def _grid(m=8, offset=0.0):
@@ -266,6 +270,78 @@ def test_bmo_coarse_upper_bound(rng):
     f = BoundaryFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
     mean = abs(np.mean(f.samples))
     assert bmo_norm(f) <= 2.0 * lp_norm(f, math.inf) + mean + 1e-12
+
+
+def _dyadic_scan(f):
+    # the unpruned dyadic scan: every offset of every length 4, 8, ..., M
+    best = max(_arc_oscillation_max(f.samples, 1 << k) for k in range(2, f.grid.m + 1))
+    return abs(complex(np.mean(f.samples))) + best
+
+
+def _coanalytic_rung(angle_step, n):
+    # exp_nonduality's co-analytic part at m = 12 for the first n radial zeros, q = 0.7
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=angle_step)
+    grid = BoundaryGrid(12, offset=0.5)
+    product = BlaschkeProduct(zeros.truncate(n))
+    theta = BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    return riesz_project(theta.conj() * log_samples(grid), "-")
+
+
+def _normal(m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+
+
+def _oracle_inputs():
+    cases = {
+        f"coanalytic_step{step}_n{n}": lambda step=step, n=n: _coanalytic_rung(step, n)
+        for step, n in ((0.0, 4), (0.0, 12), (0.13, 12), (0.37, 12))
+    }
+    for m in (4, 8, 12, 13):
+        cases[f"normal_m{m}"] = lambda m=m: BoundaryFunction(BoundaryGrid(m), _normal(m, m))
+    grid12, grid10 = BoundaryGrid(12), BoundaryGrid(10)
+    cases["random_walk_1e6"] = lambda: BoundaryFunction(
+        grid12, np.cumsum(_normal(12, 1).real) + 1e6
+    )
+    cases["offset_1e8_noise_1e-3"] = lambda: BoundaryFunction(
+        grid12, 1e8 + 1e-3 * _normal(12, 2)
+    )
+    spike = 1e-6 * _normal(10, 3)
+    spike[321] += 1e3
+    cases["spike_1e3"] = lambda: BoundaryFunction(grid10, spike)
+    cases["constant"] = lambda: BoundaryFunction.constant(grid10, 2.0 - 3.0j)
+    cases["log_half_offset"] = lambda: BoundaryFunction.from_callable(
+        BoundaryGrid(10, offset=0.5), lambda z: np.log(np.abs(1.0 - z))
+    )
+    return cases
+
+
+_ORACLE_INPUTS = _oracle_inputs()
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_INPUTS))
+def test_bmo_pruned_matches_dyadic_scan(name):
+    f = _ORACLE_INPUTS[name]()
+    expected = _dyadic_scan(f)
+    assert abs(bmo_norm(f) - expected) <= 1e-12 * expected
+    if name == "constant":
+        assert bmo_norm(f) == abs(2.0 - 3.0j)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    data=st.data(),
+    m=st.integers(4, 9),
+    offset=st.complex_numbers(max_magnitude=1e8, allow_nan=False, allow_infinity=False),
+    amplitude=st.floats(1e-6, 1e3),
+)
+def test_bmo_pruned_matches_dyadic_scan_property(data, m, offset, amplitude):
+    unit = st.floats(-1.0, 1.0)
+    re = data.draw(arrays(np.float64, 1 << m, elements=unit))
+    im = data.draw(arrays(np.float64, 1 << m, elements=unit))
+    f = BoundaryFunction(BoundaryGrid(m), offset + amplitude * (re + 1j * im))
+    expected = _dyadic_scan(f)
+    assert abs(bmo_norm(f) - expected) <= 1e-12 * expected
 
 
 def test_membership_defect_examples():
