@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,10 @@ class BoundaryFunction:
     """Complex samples on a BoundaryGrid with cached Fourier spectrum.
 
     spectrum[i] is the coefficient of mode grid.modes[i]; synthesis of the
-    cached spectrum reproduces the samples to machine precision.
+    cached spectrum reproduces the samples to machine precision.  The
+    spectrum is computed on its first read and kept, read-only, so
+    functions that only feed pointwise operations or norms never pay for
+    the forward FFT.
     """
 
     grid: BoundaryGrid
@@ -64,9 +68,12 @@ class BoundaryFunction:
             raise ValueError("sample count does not match the grid size")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
-        spec = np.fft.fft(s) / self.grid.size * self.grid._phase
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        spec = np.fft.fft(self.samples) / self.grid.size * self.grid._phase
         spec.setflags(write=False)
-        object.__setattr__(self, "spectrum", spec)
+        return spec
 
     @classmethod
     def from_callable(cls, grid: BoundaryGrid, fn) -> "BoundaryFunction":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .blaschke import BlaschkeProduct, eval_product, sublevel_indicator
+from .blaschke import BlaschkeProduct, all_derivatives, eval_product, sublevel_indicator
 from .boundary import (
     BoundaryFunction,
     BoundaryGrid,
@@ -218,6 +218,19 @@ def exp_dichotomy(
     For each truncation length the series record the largest conjugate
     value and the boundary sup norm of the interpolant.  Data traced from
     a fixed bounded function stays flat; data built to diverge grows.
+
+    All rungs are sampled in one pass.  On the circle the Lagrange
+    interpolant of the first n values is exactly
+    B_n(zeta) sum_{j<n} w_j / (B_n'(z_j) (zeta - z_j)), with
+    |zeta - z_j| >= 1 - |z_j| > 0 at every node, and |B_n(zeta)| = 1
+    there, so its sup is that of the sum alone.  The rungs share one
+    Cauchy matrix 1 / (zeta - z_j), and each costs one matrix-vector
+    product.  The sups agree with those of
+    lagrange_interpolant(...).sample(grid) to rounding.  That method keeps
+    the stable term-by-term form: interior points need it for the 0/0 at
+    z_j, and on the circle the boundary form would move the oscillation
+    norms exp_noninterpolation takes of its samples by about 1e-13
+    relative.
     """
     if len(zeros) != len(values):
         raise ValueError("value/zero sequence lengths differ")
@@ -227,13 +240,15 @@ def exp_dichotomy(
         name="dichotomy",
         parameters={"grid_log2": m, "n_zeros": len(zeros)},
     )
+    cauchy = grid.nodes - zeros.points[:, None]
+    np.divide(1.0, cauchy, out=cauchy)  # in place: n x M is the largest array here
     for n in range(1, len(zeros) + 1):
         sub_z = zeros.truncate(n)
         sub_w = values.truncate(n)
         transformed = conjugate_sequence(sub_z, sub_w)
         result.add("max_conjugate_value", n, float(np.abs(transformed.values).max()))
-        interp = lagrange_interpolant(sub_z, sub_w)
-        result.add("interpolant_sup", n, lp_norm(interp.sample(grid), math.inf))
+        coeffs = sub_w.values / all_derivatives(BlaschkeProduct(sub_z))
+        result.add("interpolant_sup", n, float(np.abs(coeffs @ cauchy[:n]).max()))
     result.runtime = time.perf_counter() - start
     return result
 

@@ -21,23 +21,49 @@ from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, h2_defect, til
 from .core import DiagnosticsReport, ValueSequence, ZeroSequence
 
 
+# entries per power table in one chunk of cauchy_eval points (2 MB of complex)
+_TABLE_ENTRIES = 1 << 17
+
+
 def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
-    """Evaluate an H2 boundary function inside the disk.
+    """Evaluate an H2 boundary function in the closed disk.
 
     Spectral form of the Cauchy integral: sum of spectrum[n] z**n over the
-    nonnegative modes.  Raises if f has more than tol relative energy in
-    negative modes.
+    nonnegative modes n < M/2, in baby-step/giant-step blocks.  With
+    K = 2**((m - 1) // 2) and n = a K + b, the inner sums over b < K are
+    one matrix product of a table of z**b with
+    spectrum[:M/2].reshape(-1, K).T, and the outer sum over a weights
+    them by the powers (z**K)**a.  Powers are running products, so each
+    term carries the same n-step rounding as Horner's rule.  Points are
+    taken in chunks that keep each table within _TABLE_ENTRIES entries.
+
+    Raises if f has more than tol relative energy in negative modes, or if
+    a point lies outside the closed disk (|z| > 1 beyond a few ulps of
+    rounding), where the truncated series is meaningless and its powers
+    overflow.
     """
     d = h2_defect(f)
     if d > tol:
         raise ValueError(f"cauchy_eval input is not in H2 (defect {d:.3e})")
-    M = f.grid.size
-    coeffs = f.spectrum[: M // 2]  # modes 0 .. M/2 - 1 in order
     z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out if out.shape else complex(out)
+    flat = z.reshape(-1)
+    if not np.all(np.abs(flat) <= 1.0 + 4 * np.finfo(float).eps):
+        raise ValueError("cauchy_eval points must lie in the closed unit disk")
+    K = 1 << ((f.grid.m - 1) // 2)
+    blocks = f.spectrum[: f.grid.size // 2].reshape(-1, K).T  # [b, a] = c[a K + b]
+    G = blocks.shape[1]  # G >= K
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, _TABLE_ENTRIES // G)
+    for lo in range(0, flat.size, step):
+        zc = flat[lo : lo + step, None]
+        baby = np.ones((zc.size, K), dtype=complex)
+        baby[:, 1:] = zc
+        np.cumprod(baby, axis=1, out=baby)  # z**b
+        giant = np.ones((zc.size, G), dtype=complex)
+        giant[:, 1:] = baby[:, -1:] * zc
+        np.cumprod(giant, axis=1, out=giant)  # (z**K)**a
+        out[lo : lo + step] = np.sum((baby @ blocks) * giant, axis=1)
+    return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
 def trace(f, zeros: ZeroSequence) -> ValueSequence:

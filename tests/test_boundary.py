@@ -94,6 +94,26 @@ def test_offset_grid_spectrum_matches_true_coefficients():
         assert f0.coefficient(n) == pytest.approx(f5.coefficient(n), abs=1e-13)
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_spectrum_computed_on_first_read(offset, rng):
+    grid = _grid(10, offset)
+    f = BoundaryFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
+    theta = BoundaryFunction.from_callable(grid, lambda z: z ** 3)
+    derived = [f.conj(), f * theta, tilde(theta, f)]
+    lp_norm(f, 2.0)
+    for g in (f, theta, *derived):
+        assert "spectrum" not in vars(g)
+    spec = f.spectrum
+    expected = np.fft.fft(f.samples) / grid.size * grid._phase
+    assert spec.tobytes() == expected.tobytes()
+    assert f.spectrum is spec
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0.0
+    with pytest.raises(AttributeError):
+        f.spectrum = expected
+
+
 def test_riesz_examples():
     grid = _grid()
     f = BoundaryFunction.from_callable(grid, lambda z: np.conj(z) + 2 + 3 * z)

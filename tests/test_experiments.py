@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_zero_sequence
 from modelspace import (
     BoundaryFunction,
     BoundaryGrid,
@@ -14,7 +15,9 @@ from modelspace import (
     generate_sequence,
     invert_conjugate,
     kernel_l1_quadrature,
+    lagrange_interpolant,
     log_samples,
+    lp_norm,
 )
 
 
@@ -113,6 +116,29 @@ def test_dichotomy_single_point():
     w = ValueSequence([3.0 + 1.0j])
     result = exp_dichotomy(zeros, w, m=10)
     assert _series(result, "max_conjugate_value") == pytest.approx([abs(w.values[0])])
+
+
+def _per_rung_sups(zeros, values, m):
+    # the per-rung Lagrange sampling exp_dichotomy replaced, kept as its oracle
+    grid = BoundaryGrid(m)
+    sups = []
+    for n in range(1, len(zeros) + 1):
+        interp = lagrange_interpolant(zeros.truncate(n), values.truncate(n))
+        sups.append(lp_norm(interp.sample(grid), math.inf))
+    return sups
+
+
+@pytest.mark.parametrize("case", ["clustered_radial", "separated"])
+def test_dichotomy_one_pass_matches_per_rung(case, rng):
+    if case == "clustered_radial":
+        zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.0)
+        values, m = ValueSequence(np.ones(12)), 12
+    else:
+        zeros = random_zero_sequence(rng, 10)
+        values, m = ValueSequence(rng.normal(size=10) + 1j * rng.normal(size=10)), 10
+    got = np.array(_series(exp_dichotomy(zeros, values, m=m), "interpolant_sup"))
+    expected = np.array(_per_rung_sups(zeros, values, m))
+    assert np.all(np.abs(got - expected) <= 1e-10 * expected)
 
 
 def test_sublevel_constant():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_zero_sequence
+import modelspace.experiments
+import modelspace.interp
+from conftest import kernel_combination, random_zero_sequence
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -11,10 +14,12 @@ from modelspace import (
     conjugate_matrix,
     conjugate_sequence,
     eval_product,
+    exp_sublevel,
     generate_sequence,
     invert_conjugate,
     kernel_interpolant,
     lagrange_interpolant,
+    log_samples,
     membership_defect,
     model_project,
     residue_identity_check,
@@ -48,6 +53,104 @@ def test_cauchy_eval_kernels_inside_disk(rng):
         kernel = BoundaryFunction.from_callable(grid, lambda z: 1.0 / (1 - np.conj(zj) * z))
         for z in (0.95, -0.95j, 0.6 + 0.7j):
             assert abs(cauchy_eval(kernel, z) - 1.0 / (1 - np.conj(zj) * z)) < 1e-9
+
+
+def _horner(f, z):
+    # the M/2-step Horner loop cauchy_eval replaced, kept as its oracle
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    for c in f.spectrum[: f.grid.size // 2][::-1]:
+        out = out * z + c
+    return out
+
+
+def _assert_matches_horner(f, z):
+    got, expected = cauchy_eval(f, z, tol=1e-2), _horner(f, z)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _analytic(m, seed):
+    # random coefficients on the modes 0 .. M/2 - 1, none on the negative modes
+    grid = BoundaryGrid(m)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    spec = np.where(grid.modes >= 0, coeffs, 0.0)
+    return BoundaryFunction.from_spectrum(grid, spec)
+
+
+def _disk_points(rng, count):
+    # scattered interior points, a few within 1e-3 of the circle, and 4 on it
+    r = np.concatenate([rng.uniform(0.0, 0.999, count), 1.0 - rng.uniform(0, 1e-3, 8)])
+    pts = r * np.exp(2j * np.pi * rng.uniform(size=r.size))
+    return np.concatenate([pts, np.exp(2j * np.pi * rng.uniform(size=4))])
+
+
+def test_cauchy_eval_matches_horner_on_sublevel_lattice(monkeypatch):
+    # the points exp_sublevel evaluates for q = 0.7, n = 12 at m = 12 (CLI defaults)
+    calls = []
+
+    def recording(f, z, tol):
+        calls.append((f, z))
+        return cauchy_eval(f, z, tol=tol)
+
+    monkeypatch.setattr(modelspace.experiments, "cauchy_eval", recording)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.0)
+    f = kernel_combination(BoundaryGrid(12), zeros.points, np.full(12, 1.0 / 12))
+    exp_sublevel(zeros, f)
+    [(seen, lattice)] = calls
+    assert seen is f and lattice.size > 1000
+    _assert_matches_horner(f, lattice)
+
+
+def test_cauchy_eval_matches_horner_deep_grid():
+    # the q = 0.5, n = 12 zeros at m = 17, where M (1 - max|z_j|) = 32
+    zeros = generate_sequence("rotated_radial", q=0.5, n=12, angle_step=0.0)
+    grid = BoundaryGrid(17, offset=0.5)
+    _assert_matches_horner(log_samples(grid), zeros.points)
+    kernels = kernel_combination(grid, zeros.points[-3:], [1.0, -2.0j, 0.5])
+    _assert_matches_horner(kernels, zeros.points)
+
+
+@pytest.mark.parametrize("m", [4, 13])
+def test_cauchy_eval_matches_horner_block_shapes(m, rng, monkeypatch):
+    # m = 4 has baby blocks of K = 2; odd m = 13 has K = 64 and 64 giant steps
+    f, pts = _analytic(m, m), _disk_points(rng, 200)
+    _assert_matches_horner(f, pts)
+    # chunks of 80 (m = 4) or 5 (m = 13) of the 212 points, the last one short
+    monkeypatch.setattr(modelspace.interp, "_TABLE_ENTRIES", 320)
+    _assert_matches_horner(f, pts)
+
+
+def test_cauchy_eval_origin_and_shapes(rng):
+    f = _analytic(12, 1)
+    assert cauchy_eval(f, 0.0) == f.spectrum[0]
+    assert isinstance(cauchy_eval(f, 0.5j), complex)
+    pts = _disk_points(rng, 12).reshape(4, 6)
+    got = cauchy_eval(f, pts)
+    assert got.shape == (4, 6)
+    assert np.array_equal(got.reshape(-1), cauchy_eval(f, pts.reshape(-1)))
+
+
+def test_cauchy_eval_rejects_points_outside_disk():
+    grid = BoundaryGrid(12)
+    f = _analytic(12, 2)
+    for bad in (1.0 + 1e-9, 2.0j, np.array([0.1, 0.5 + 0.9j]), np.nan):
+        with pytest.raises(ValueError):
+            cauchy_eval(f, bad)
+    on_circle = cauchy_eval(f, grid.nodes[:64])  # |z| = 1 up to rounding stays legal
+    assert np.allclose(on_circle, f.samples[:64], atol=1e-10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    m=st.integers(4, 12),
+    seed=st.integers(0, 2**32 - 1),
+    radii=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=16),
+    angle=st.floats(0.0, 2 * np.pi),
+)
+def test_cauchy_eval_matches_horner_property(m, seed, radii, angle):
+    pts = np.array(radii) * np.exp(1j * (angle + np.arange(len(radii))))
+    _assert_matches_horner(_analytic(m, seed), pts)
 
 
 def test_trace_examples():
