@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import BoundaryFunction, BoundaryGrid
 from .core import DiagnosticsReport, ZeroSequence
 
 
@@ -21,13 +22,22 @@ def _unit(zj: complex) -> complex:
     return -1.0 + 0.0j if zj == 0 else abs(zj) / zj
 
 
+def _factor_into(zj: complex, z: np.ndarray, out: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # b_j(z) into out and 1 - conj(z_j) z into den, both preallocated like z
+    np.multiply(np.conj(zj), z, out=den)
+    np.subtract(1.0, den, out=den)
+    if np.any(den == 0):
+        raise ZeroDivisionError("evaluation point is the reflected pole of the factor")
+    np.subtract(zj, z, out=out)
+    np.multiply(_unit(zj), out, out=out)
+    np.divide(out, den, out=out)
+    return out
+
+
 def blaschke_factor(zj: complex, z) -> np.ndarray | complex:
     """Single factor (|z_j|/z_j) (z_j - z) / (1 - conj(z_j) z)."""
     z = np.asarray(z, dtype=complex)
-    den = 1.0 - np.conj(zj) * z
-    if np.any(den == 0):
-        raise ZeroDivisionError("evaluation point is the reflected pole of the factor")
-    out = _unit(zj) * (zj - z) / den
+    out = _factor_into(zj, z, np.empty_like(z), np.empty_like(z))
     return out if out.shape else complex(out)
 
 
@@ -53,6 +63,10 @@ class BlaschkeProduct:
     def __call__(self, z):
         return eval_product(self, z)
 
+    def sample(self, grid: BoundaryGrid) -> BoundaryFunction:
+        """The product on the grid's nodes."""
+        return BoundaryFunction(grid, eval_product(self, grid.nodes))
+
     def truncation_bound(self, z) -> float:
         """Relative error bound for the dropped tail at an interior point."""
         r = float(np.max(np.abs(z)))
@@ -62,11 +76,16 @@ class BlaschkeProduct:
 
 
 def eval_product(product: BlaschkeProduct, z):
-    """Value of the product at z (scalar or array), |z| <= 1."""
+    """Value of the product at z (scalar or array), |z| <= 1.
+
+    Multiplies the factors in place into one running product, so an array
+    of M points costs three length-M buffers whatever the number of zeros.
+    """
     z = np.asarray(z, dtype=complex)
     out = np.ones(z.shape, dtype=complex)
+    fac, den = np.empty_like(out), np.empty_like(out)
     for zj in product.zeros:
-        out = out * blaschke_factor(zj, z)
+        out *= _factor_into(zj, z, fac, den)
     return out if out.shape else complex(out)
 
 

@@ -161,11 +161,11 @@ def riesz_project(f: BoundaryFunction, sign) -> BoundaryFunction:
 
 def h2_defect(f: BoundaryFunction) -> float:
     """Fraction of spectral energy sitting in negative modes."""
-    total = float(np.sum(np.abs(f.spectrum) ** 2))
+    power = np.abs(f.spectrum) ** 2
+    total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    neg = float(np.sum(np.abs(f.spectrum[f.grid.modes < 0]) ** 2))
-    return neg / total
+    return float(np.sum(power[f.grid.size // 2 :])) / total  # modes -M/2 .. -1
 
 
 def _require_h2(f: BoundaryFunction, tol: float, what: str) -> None:

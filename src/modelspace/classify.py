@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, eval_product
+from .blaschke import BlaschkeProduct
 from .boundary import (
     BoundaryFunction,
     bmo_norm,
@@ -297,7 +297,7 @@ def projection_decay_report(
     if h2_defect(f) > tol:
         raise ValueError("projection_decay_report expects f in H2")
     grid = f.grid
-    theta = BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    theta = product.sample(grid)
     coanalytic = riesz_project(theta.conj() * f, "-")
     mirrored = conjugate_mirror(coanalytic)
     smooth = measure_smoothness(mirrored, x)

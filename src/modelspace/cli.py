@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import blaschke, experiments
-from .blaschke import BlaschkeProduct, eval_product
+from .blaschke import BlaschkeProduct
 from .boundary import BoundaryFunction, BoundaryGrid, membership_defect, write_csv
 from .classify import classify_trace
 from .core import SmoothnessDescriptor, ValueSequence, ZeroSequence, generate_sequence
@@ -125,10 +125,7 @@ def main(argv=None) -> int:
         if args.boundary_csv:
             write_csv(sampled, args.boundary_csv)
         out = interp.to_dict()
-        theta = BoundaryFunction.from_callable(
-            grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-        )
-        defect = membership_defect(sampled, "K2", theta)
+        defect = membership_defect(sampled, "K2", BlaschkeProduct(zeros).sample(grid))
         out["membership_defect"] = defect
         out["within_tolerance"] = bool(defect <= args.tol)
         _dump(out, args.out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .blaschke import BlaschkeProduct, all_derivatives, eval_product, sublevel_indicator
+from .blaschke import BlaschkeProduct, all_derivatives, sublevel_indicator
 from .boundary import (
     BoundaryFunction,
     BoundaryGrid,
@@ -30,7 +30,7 @@ from .boundary import (
 )
 from .classify import DecayVerdict, log_growth_check
 from .core import ValueSequence, ZeroSequence
-from .interp import cauchy_eval, lagrange_interpolant, conjugate_sequence
+from .interp import _TABLE_ENTRIES, cauchy_eval, conjugate_sequence, lagrange_interpolant
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
@@ -128,7 +128,7 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     result.parameters["log_sampling_defect"] = h2_defect(phi_raw)
 
     product = BlaschkeProduct(zeros)
-    theta = BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    theta = product.sample(grid)
     coanalytic = riesz_project(theta.conj() * phi, "-")
     g = theta * coanalytic
 
@@ -141,8 +141,7 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
 
     for n in _truncation_ladder(len(zeros)):
         sub = zeros.truncate(n)
-        prod_n = BlaschkeProduct(sub)
-        theta_n = BoundaryFunction.from_callable(grid, lambda z: eval_product(prod_n, z))
+        theta_n = BlaschkeProduct(sub).sample(grid)
         co_n = riesz_project(theta_n.conj() * phi, "-")
         result.add("coanalytic_bmo", n, bmo_norm(co_n))
 
@@ -196,7 +195,7 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
 
     phi = log_samples(grid)
     product = BlaschkeProduct(zeros)
-    theta = BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    theta = product.sample(grid)
     g = theta * riesz_project(theta.conj() * phi, "-")
     values = ValueSequence(cauchy_eval(g, zeros.points, tol=1e-2))
     verdict = log_growth_check(zeros, values)
@@ -223,11 +222,14 @@ def exp_dichotomy(
     interpolant of the first n values is exactly
     B_n(zeta) sum_{j<n} w_j / (B_n'(z_j) (zeta - z_j)), with
     |zeta - z_j| >= 1 - |z_j| > 0 at every node, and |B_n(zeta)| = 1
-    there, so its sup is that of the sum alone.  The rungs share one
-    Cauchy matrix 1 / (zeta - z_j), and each costs one matrix-vector
-    product.  The sups agree with those of
+    there, so its sup is that of the sum alone.  The rung coefficients
+    w_j / B_n'(z_j) form one lower-triangular matrix; the Cauchy block
+    1 / (zeta - z_j) is built over chunks of nodes of _TABLE_ENTRIES
+    entries, each chunk costs one matrix product, and a running maximum
+    per rung keeps the sups, so memory stays O(M) whatever the number of
+    zeros.  The sups agree with those of
     lagrange_interpolant(...).sample(grid) to rounding.  That method keeps
-    the stable term-by-term form: interior points need it for the 0/0 at
+    the stable running-sum form: interior points need it for the 0/0 at
     z_j, and on the circle the boundary form would move the oscillation
     norms exp_noninterpolation takes of its samples by about 1e-13
     relative.
@@ -240,15 +242,23 @@ def exp_dichotomy(
         name="dichotomy",
         parameters={"grid_log2": m, "n_zeros": len(zeros)},
     )
-    cauchy = grid.nodes - zeros.points[:, None]
-    np.divide(1.0, cauchy, out=cauchy)  # in place: n x M is the largest array here
-    for n in range(1, len(zeros) + 1):
+    count = len(zeros)
+    rungs = np.zeros((count, count), dtype=complex)  # row n - 1: coefficients of rung n
+    conjugate_max = []
+    for n in range(1, count + 1):
         sub_z = zeros.truncate(n)
         sub_w = values.truncate(n)
-        transformed = conjugate_sequence(sub_z, sub_w)
-        result.add("max_conjugate_value", n, float(np.abs(transformed.values).max()))
-        coeffs = sub_w.values / all_derivatives(BlaschkeProduct(sub_z))
-        result.add("interpolant_sup", n, float(np.abs(coeffs @ cauchy[:n]).max()))
+        conjugate_max.append(float(np.abs(conjugate_sequence(sub_z, sub_w).values).max()))
+        rungs[n - 1, :n] = sub_w.values / all_derivatives(BlaschkeProduct(sub_z))
+    sups = np.zeros(count)
+    step = max(1, _TABLE_ENTRIES // count)
+    for lo in range(0, grid.size, step):
+        block = grid.nodes[None, lo : lo + step] - zeros.points[:, None]
+        np.divide(1.0, block, out=block)
+        np.maximum(sups, np.abs(rungs @ block).max(axis=1), out=sups)
+    for n in range(1, count + 1):
+        result.add("max_conjugate_value", n, conjugate_max[n - 1])
+        result.add("interpolant_sup", n, sups[n - 1])
     result.runtime = time.perf_counter() - start
     return result
 
@@ -298,7 +308,7 @@ def exp_sublevel(
         sub_sup = float(np.abs(inside).max())
     boundary_sup = lp_norm(f, math.inf)
 
-    theta = BoundaryFunction.from_callable(f.grid, lambda z: eval_product(product, z))
+    theta = product.sample(f.grid)
     pairing = bmo_norm(theta.conj() * f)
 
     result.add("sublevel_sup", 0, sub_sup)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blaschke
-from .blaschke import BlaschkeProduct, eval_product
+from .blaschke import BlaschkeProduct
 from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, h2_defect, tilde
 from .core import DiagnosticsReport, ValueSequence, ZeroSequence
 
@@ -119,6 +119,12 @@ class InterpolantRepresentation:
     form = "lagrange":     f(z) = sum_j c_j B(z) / (B'(z_j) (z - z_j))
                            with c_j the interpolated values themselves.
     form = "kernel_basis": f(z) = sum_j c_j / (1 - conj(z_j) z).
+
+    Evaluation streams over the zeros with a few buffers the size of the
+    point array, so sampling an n-zero interpolant on M nodes takes O(M)
+    memory, not O(n M).  The Lagrange form keeps a running sum and a
+    running product of the factors, never divides by a factor, and so
+    stays exact at the zeros themselves.
     """
 
     zeros: ZeroSequence
@@ -153,37 +159,42 @@ class InterpolantRepresentation:
 
 
 def _kernel_eval(points: np.ndarray, coeffs: np.ndarray, z):
+    # one kernel per zero added into the output: two length-M buffers
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    out = (1.0 / (1.0 - np.conj(points)[None, :] * flat[:, None])) @ coeffs
+    out = np.zeros(flat.size, dtype=complex)
+    term = np.empty_like(out)
+    for zj, cj in zip(points, coeffs):
+        np.multiply(np.conj(zj), flat, out=term)
+        np.subtract(1.0, term, out=term)
+        np.divide(cj, term, out=term)
+        out += term
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
 def _lagrange_eval(zeros: ZeroSequence, values: np.ndarray, z):
-    # Stable term-by-term form.  The j-th Lagrange term is
-    #   w_j / B'(z_j) * b_j(z) / (z - z_j) * prod_{k != j} b_k(z),
-    # and b_j(z)/(z - z_j) = -u_j / (1 - conj(z_j) z) exactly, which
-    # removes the 0/0 at z = z_j without any limit branch.
+    # Stable running-sum form.  The j-th Lagrange term is
+    #   c_j core_j(z) prod_{k != j} b_k(z),  c_j = w_j / B'(z_j),
+    # and core_j(z) = b_j(z) / (z - z_j) = -u_j / (1 - conj(z_j) z) exactly,
+    # which removes the 0/0 at z = z_j without any limit branch.  After
+    # zero j, total holds the series over the first j + 1 zeros and prefix
+    # their product:
+    #   total <- total b_j + c_j core_j prefix,   prefix <- prefix b_j,
+    # so no term divides by b_j, and five length-M buffers suffice.
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    pts = zeros.points
-    n = len(zeros)
-    factors = np.empty((n, flat.size), dtype=complex)
-    for j, zj in enumerate(pts):
-        factors[j] = blaschke.blaschke_factor(zj, flat)
-    prefix = np.ones((n + 1, flat.size), dtype=complex)
-    for j in range(n):
-        prefix[j + 1] = prefix[j] * factors[j]
-    suffix = np.ones((n + 1, flat.size), dtype=complex)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] * factors[j]
-    bp = blaschke.all_derivatives(BlaschkeProduct(zeros))
-    out = np.zeros(flat.size, dtype=complex)
-    for j, zj in enumerate(pts):
-        unit = blaschke._unit(zj)
-        core = -unit / (1.0 - np.conj(zj) * flat)
-        out += (values[j] / bp[j]) * core * prefix[j] * suffix[j + 1]
-    return out.reshape(z.shape) if z.shape else complex(out[0])
+    coeffs = values / blaschke.all_derivatives(BlaschkeProduct(zeros))
+    total = np.zeros(flat.size, dtype=complex)
+    prefix = np.ones(flat.size, dtype=complex)
+    fac, den, term = (np.empty_like(total) for _ in range(3))
+    for zj, cj in zip(zeros.points, coeffs):
+        blaschke._factor_into(zj, flat, fac, den)
+        np.divide(-blaschke._unit(zj) * cj, den, out=term)
+        term *= prefix
+        total *= fac
+        total += term
+        prefix *= fac
+    return total.reshape(z.shape) if z.shape else complex(total[0])
 
 
 def lagrange_interpolant(
@@ -228,7 +239,7 @@ def residue_identity_check(
     grid = BoundaryGrid(m)
     product = BlaschkeProduct(zeros)
     f = lagrange_interpolant(zeros, values).sample(grid)
-    theta = BoundaryFunction.from_callable(grid, lambda nodes: eval_product(product, nodes))
+    theta = product.sample(grid)
     g = tilde(theta, f)
     lhs = np.conj(cauchy_eval(g, zeros.points))
     rhs = conjugate_sequence(zeros, values).values

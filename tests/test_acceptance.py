@@ -28,7 +28,6 @@ from modelspace import (
     conjugate_matrix,
     conjugate_sequence,
     derivative_at_zero,
-    eval_product,
     exp_nonduality,
     frostman_sum,
     generate_sequence,
@@ -54,8 +53,7 @@ def _verdict(n: int, ok: bool, detail: str = "") -> None:
 
 
 def _sample_product(zeros: ZeroSequence, grid: BoundaryGrid) -> BoundaryFunction:
-    product = BlaschkeProduct(zeros)
-    return BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    return BlaschkeProduct(zeros).sample(grid)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,8 @@ import pytest
 
 from modelspace import (
     BlaschkeProduct,
+    BoundaryFunction,
+    BoundaryGrid,
     blaschke_factor,
     derivative_at_zero,
     diagnose,
@@ -33,6 +35,31 @@ def test_eval_product_examples():
     grid = np.exp(2j * np.pi * np.arange(512) / 512)
     vals = eval_product(_product(0, 0.5), grid)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
+
+
+def test_eval_product_raises_at_reflected_pole():
+    # 1 - conj(z_j) z is exactly 0 at z = 1 / conj(z_j) for these zeros
+    product = _product(0.5, 0.25j)
+    for pole in (2.0, 4.0j):
+        with pytest.raises(ZeroDivisionError):
+            eval_product(product, pole)
+        with pytest.raises(ZeroDivisionError):
+            eval_product(product, np.array([0.3, pole]))
+    with pytest.raises(ZeroDivisionError):
+        blaschke_factor(0.5, 2.0)
+
+
+@pytest.mark.parametrize("m, offset", [(4, 0.0), (10, 0.5), (15, 0.0)])
+def test_product_sample_matches_pointwise_evaluation(m, offset, rng):
+    grid = BoundaryGrid(m, offset)
+    product = BlaschkeProduct(generate_sequence("rotated_radial", q=0.6, n=9, angle_step=0.2))
+    sampled = product.sample(grid)
+    assert isinstance(sampled, BoundaryFunction) and sampled.grid is grid
+    assert np.array_equal(sampled.samples, eval_product(product, grid.nodes))
+    # the factors one at a time, out of place, give the same product to rounding
+    direct = np.prod([blaschke_factor(zj, grid.nodes) for zj in product.zeros], axis=0)
+    assert np.max(np.abs(sampled.samples - direct)) < 1e-14
+    assert np.max(np.abs(np.abs(sampled.samples) - 1.0)) < 1e-13
 
 
 def test_unimodularity_many_zeros(rng):

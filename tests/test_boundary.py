@@ -14,7 +14,6 @@ from modelspace import (
     bmo_norm,
     bmo_norm_exhaustive,
     conjugate_mirror,
-    eval_product,
     fourier,
     generate_sequence,
     h2_defect,
@@ -175,9 +174,7 @@ def test_tilde_involution_isometry(rng):
     for _ in range(10):
         n = int(rng.integers(1, 17))
         zeros = random_zero_sequence(rng, n, min_separation=0.05)
-        theta = BoundaryFunction.from_callable(
-            grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-        )
+        theta = BlaschkeProduct(zeros).sample(grid)
         f = kernel_combination(grid, zeros.points,
                                rng.normal(size=n) + 1j * rng.normal(size=n))
         tf = tilde(theta, f)
@@ -197,7 +194,7 @@ def test_model_project_examples():
 
     # anything in theta * H2 projects to zero
     zeros = generate_sequence("explicit", points=[0.5])
-    b = BoundaryFunction.from_callable(grid, lambda z: eval_product(BlaschkeProduct(zeros), z))
+    b = BlaschkeProduct(zeros).sample(grid)
     h = BoundaryFunction.from_callable(grid, lambda z: 1 + z + 0.5 * z ** 3)
     assert lp_norm(model_project(b, b * h), 2) < 1e-13
 
@@ -210,9 +207,7 @@ def test_model_project_examples():
 def test_model_project_operator_properties(rng):
     grid = _grid(10)
     zeros = random_zero_sequence(rng, 6)
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     f = _random_h2(rng, grid)
     g = _random_h2(rng, grid)
     pf = model_project(theta, f)
@@ -233,9 +228,7 @@ def test_model_project_value_preservation(rng):
 
     grid = BoundaryGrid(12)
     zeros = random_zero_sequence(rng, 10)
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     f = _random_h2(rng, grid)
     g = model_project(theta, f)
     got = cauchy_eval(g, zeros.points)
@@ -302,8 +295,7 @@ def _coanalytic_rung(angle_step, n):
     # exp_nonduality's co-analytic part at m = 12 for the first n radial zeros, q = 0.7
     zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=angle_step)
     grid = BoundaryGrid(12, offset=0.5)
-    product = BlaschkeProduct(zeros.truncate(n))
-    theta = BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    theta = BlaschkeProduct(zeros.truncate(n)).sample(grid)
     return riesz_project(theta.conj() * log_samples(grid), "-")
 
 
@@ -385,9 +377,7 @@ def test_membership_defect_examples():
 def test_backward_shift_keeps_model_space(rng):
     grid = _grid(10)
     zeros = random_zero_sequence(rng, 5)
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     f = kernel_combination(grid, zeros.points, rng.normal(size=5))
     assert membership_defect(backward_shift(f), "K2", theta) < 1e-10
 
@@ -407,7 +397,7 @@ def test_toeplitz_examples():
 def test_toeplitz_against_convolution_oracle():
     grid = _grid(10)
     zeros = generate_sequence("explicit", points=[0.5])
-    psi = BoundaryFunction.from_callable(grid, lambda z: eval_product(BlaschkeProduct(zeros), z))
+    psi = BlaschkeProduct(zeros).sample(grid)
     f = BoundaryFunction.from_callable(grid, lambda z: 1.0 / (1 - 0.5 * z))
     out = toeplitz_coanalytic(psi, f)
     # brute-force coefficient convolution with the closed-form spectra
@@ -465,3 +455,19 @@ def test_mismatched_grids_rejected():
     h = BoundaryFunction.constant(BoundaryGrid(6, offset=0.5), 1.0)
     with pytest.raises(ValueError):
         _ = f + h
+
+
+@pytest.mark.parametrize("m, offset", [(8, 0.0), (12, 0.5), (17, 0.5)])
+def test_h2_defect_bit_identical_to_two_pass_form(m, offset, rng):
+    # one |spectrum|**2 array for both sums gives exactly the masked two-pass value
+    grid = _grid(m, offset)
+    cases = [
+        _random_h2(rng, grid) + 1e-4 * _random_h2(rng, grid).conj(),
+        BoundaryFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)),
+        log_samples(grid) if offset else BoundaryFunction(grid, np.conj(grid.nodes)),
+    ]
+    for f in cases:
+        total = float(np.sum(np.abs(f.spectrum) ** 2))
+        expected = float(np.sum(np.abs(f.spectrum[f.grid.modes < 0]) ** 2)) / total
+        assert h2_defect(f) == expected
+    assert h2_defect(BoundaryFunction.constant(grid, 0.0)) == 0.0

@@ -11,7 +11,6 @@ from modelspace import (
     SmoothnessDescriptor,
     ValueSequence,
     classify_trace,
-    eval_product,
     generate_sequence,
     invert_conjugate,
     log_growth_check,
@@ -207,7 +206,7 @@ def test_projection_decay_report_annihilation(rng):
     grid = BoundaryGrid(10)
     zeros = random_zero_sequence(rng, 4)
     product = BlaschkeProduct(zeros)
-    theta = BoundaryFunction.from_callable(grid, lambda z: eval_product(product, z))
+    theta = product.sample(grid)
     h = BoundaryFunction.from_callable(grid, lambda z: 1 + 0.5 * z - 0.25 * z ** 2)
     report = projection_decay_report(product, theta * h, SmoothnessDescriptor.bmo())
     assert report.scalars["smoothness"] < 1e-9

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import modelspace.experiments
 from conftest import random_zero_sequence
 from modelspace import (
     BoundaryFunction,
     BoundaryGrid,
     ValueSequence,
+    ZeroSequence,
     exp_dichotomy,
     exp_nonduality,
     exp_noninterpolation,
@@ -34,11 +36,9 @@ def test_nonduality_rank_one_closed_form():
     # form at the sampling-error rate of the log singularity (~1/M)
     grid = BoundaryGrid(13, offset=0.5)
     phi = log_samples(grid)
-    from modelspace import model_project, eval_product, BlaschkeProduct
+    from modelspace import model_project, BlaschkeProduct
 
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     g = model_project(theta, phi)
     closed = math.log(0.5) * 0.75 / (1.0 - 0.5 * grid.nodes)
     assert np.max(np.abs(g.samples - closed)) < 1e-3
@@ -136,6 +136,25 @@ def test_dichotomy_one_pass_matches_per_rung(case, rng):
     else:
         zeros = random_zero_sequence(rng, 10)
         values, m = ValueSequence(rng.normal(size=10) + 1j * rng.normal(size=10)), 10
+    got = np.array(_series(exp_dichotomy(zeros, values, m=m), "interpolant_sup"))
+    expected = np.array(_per_rung_sups(zeros, values, m))
+    assert np.all(np.abs(got - expected) <= 1e-10 * expected)
+
+
+@pytest.mark.parametrize("case", ["rotated_radial", "separated"])
+def test_dichotomy_chunked_grid_matches_per_rung(case, rng, monkeypatch):
+    if case == "rotated_radial":
+        # turned by -0.05 rad so the first rung peaks in the short last chunk
+        radial = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.0)
+        zeros = ZeroSequence(radial.points * np.exp(-0.05j))
+        values, m = ValueSequence(np.ones(12)), 12
+    else:
+        zeros = random_zero_sequence(rng, 10)
+        values, m = ValueSequence(rng.normal(size=10) + 1j * rng.normal(size=10)), 10
+    entries = 3000
+    monkeypatch.setattr(modelspace.experiments, "_TABLE_ENTRIES", entries)
+    step = entries // len(zeros)  # 250 or 300 nodes per chunk
+    assert 2 * step < 2**m and 2**m % step != 0  # several chunks, the last one short
     got = np.array(_series(exp_dichotomy(zeros, values, m=m), "interpolant_sup"))
     expected = np.array(_per_rung_sups(zeros, values, m))
     assert np.all(np.abs(got - expected) <= 1e-10 * expected)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from modelspace import (
     conjugate_matrix,
     conjugate_sequence,
     eval_product,
+    exp_dichotomy,
     exp_sublevel,
     generate_sequence,
     invert_conjugate,
@@ -25,6 +28,7 @@ from modelspace import (
     residue_identity_check,
     trace,
 )
+from modelspace.blaschke import all_derivatives
 
 
 def _zeros(*points):
@@ -244,9 +248,7 @@ def test_lagrange_membership(rng):
     zeros = random_zero_sequence(rng, 6)
     w = ValueSequence(rng.normal(size=6))
     sampled = lagrange_interpolant(zeros, w).sample(grid)
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     assert membership_defect(sampled, "K2", theta) < 1e-9
 
 
@@ -274,14 +276,131 @@ def test_two_routes_agree_on_boundary(rng):
         assert np.max(np.abs(a.samples - b.samples)) < 1e-7
 
 
+def _prefix_suffix_lagrange(zeros, values, z):
+    # the prefix/suffix-product Lagrange form the running sum replaced, kept
+    # as its oracle: (n + 1) x M prefix and suffix products of the factors
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    pts, n = zeros.points, len(zeros)
+    units = np.array([abs(p) / p if p != 0 else -1.0 for p in pts])
+    factors = np.array([u * (p - z) / (1.0 - np.conj(p) * z) for u, p in zip(units, pts)])
+    prefix = np.ones((n + 1, z.size), dtype=complex)
+    suffix = np.ones((n + 1, z.size), dtype=complex)
+    for j in range(n):
+        prefix[j + 1] = prefix[j] * factors[j]
+        suffix[n - 1 - j] = suffix[n - j] * factors[n - 1 - j]
+    bp = all_derivatives(BlaschkeProduct(zeros))
+    core = -units[:, None] / (1.0 - np.conj(pts)[:, None] * z[None, :])
+    return np.sum((values / bp)[:, None] * core * prefix[:-1] * suffix[1:], axis=0)
+
+
+def _kernel_matrix_eval(points, coeffs, z):
+    # the M x n kernel-matrix form the per-zero sum replaced, kept as its oracle
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    return (1.0 / (1.0 - np.conj(points)[None, :] * z[:, None])) @ coeffs
+
+
+def _assert_matches_oracles(zeros, values, z):
+    lagrange = lagrange_interpolant(zeros, values)
+    kernel = kernel_interpolant(zeros, values)
+    for got, expected in (
+        (lagrange(z), _prefix_suffix_lagrange(zeros, values.values, z)),
+        (kernel(z), _kernel_matrix_eval(zeros.points, kernel.coefficients, z)),
+    ):
+        got = np.asarray(got).reshape(-1)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _deep_instance(seed=0):
+    # the q = 0.5, n = 12 zeros resolved at m = 17, with complex normal values
+    rng = np.random.default_rng(seed)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=12, angle_step=0.2)
+    return zeros, ValueSequence(rng.normal(size=12) + 1j * rng.normal(size=12))
+
+
+@pytest.mark.parametrize("m", [4, 12, 17])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_interpolant_samples_match_oracles(m, offset):
+    zeros, values = _deep_instance(m)
+    grid = BoundaryGrid(m, offset)
+    _assert_matches_oracles(zeros, values, grid.nodes)
+    for rep in (lagrange_interpolant(zeros, values), kernel_interpolant(zeros, values)):
+        sampled = rep.sample(grid)
+        assert sampled.grid is grid
+        assert np.array_equal(sampled.samples, rep(grid.nodes))
+
+
+def test_interpolant_interior_matches_oracles(rng):
+    zeros, values = _deep_instance()
+    r = np.sqrt(rng.uniform(0.0, 0.999**2, 500))
+    inside = np.concatenate([zeros.points, r * np.exp(2j * np.pi * rng.uniform(size=r.size))])
+    _assert_matches_oracles(zeros, values, inside)
+    # the running sum is exact at the zeros: no factor is ever divided out
+    at_zeros = lagrange_interpolant(zeros, values)(zeros.points)
+    assert np.max(np.abs(at_zeros - values.values)) <= 1e-12 * np.max(np.abs(values.values))
+    assert lagrange_interpolant(zeros, values)(zeros.points[3]) == pytest.approx(
+        values.values[3], abs=1e-12
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    m=st.integers(4, 10),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    radii=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8),
+)
+def test_interpolant_matches_oracles_property(m, n, seed, radii):
+    rng = np.random.default_rng(seed)
+    zeros = random_zero_sequence(rng, n)
+    values = ValueSequence(rng.normal(size=n) + 1j * rng.normal(size=n))
+    inside = np.array(radii) * np.exp(2j * np.pi * rng.uniform(size=len(radii)))
+    grid = BoundaryGrid(m, 0.5 * (seed % 2))
+    _assert_matches_oracles(zeros, values, np.concatenate([grid.nodes, inside, zeros.points]))
+
+
+def test_lagrange_raises_at_reflected_pole():
+    # 1 - conj(z_j) z is exactly 0 at z = 1 / conj(z_j) for these zeros
+    zeros = _zeros(0.5, 0.25j)
+    f = lagrange_interpolant(zeros, ValueSequence([1.0, 2.0j]))
+    for pole in (2.0, 4.0j, np.array([0.1, 2.0])):
+        with pytest.raises(ZeroDivisionError):
+            f(pole)
+
+
+def _transient_peak(fn) -> int:
+    # bytes allocated at the peak of fn() beyond what was live when it started
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_deep_sampling_memory_is_linear_in_grid_size():
+    # m = 17, n = 12: eight length-M complex arrays (16 MB) bound each
+    # transient peak; an n x M complex array alone would take 24 MB
+    zeros, values = _deep_instance()
+    grid = BoundaryGrid(17)
+    bound = 8 * grid.size * 16
+    lagrange = lagrange_interpolant(zeros, values)
+    kernel = kernel_interpolant(zeros, values)
+    assert _transient_peak(lambda: lagrange.sample(grid)) <= bound
+    assert _transient_peak(lambda: kernel.sample(grid)) <= bound
+    assert _transient_peak(lambda: exp_dichotomy(zeros, values, m=17)) <= bound
+
+
 def test_interpolant_orthogonal_to_shifted_product(rng):
     grid = BoundaryGrid(12)
     zeros = random_zero_sequence(rng, 8)
     w = ValueSequence(rng.normal(size=8))
     f = lagrange_interpolant(zeros, w).sample(grid)
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     pairing = f * theta.conj()
     modes = pairing.grid.modes
     sel = (modes >= 0) & (modes <= grid.size // 4)
@@ -294,9 +413,7 @@ def test_projection_consistency(rng):
     zeros = random_zero_sequence(rng, 5)
     w = ValueSequence(rng.normal(size=5))
     interp = lagrange_interpolant(zeros, w).sample(grid)
-    theta = BoundaryFunction.from_callable(
-        grid, lambda z: eval_product(BlaschkeProduct(zeros), z)
-    )
+    theta = BlaschkeProduct(zeros).sample(grid)
     poly = BoundaryFunction.from_callable(grid, lambda z: 0.3 - 0.8 * z + 0.1 * z ** 4)
     extension = interp + theta * poly
     projected = model_project(theta, extension)
