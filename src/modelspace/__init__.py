@@ -2,8 +2,8 @@
 
 from .blaschke import (
     BlaschkeProduct,
+    all_derivatives,
     blaschke_factor,
-    derivative_at_zero,
     diagnose,
     eval_product,
     frostman_sum,
@@ -17,15 +17,12 @@ from .boundary import (
     backward_shift,
     bmo_norm,
     bmo_norm_exhaustive,
-    conjugate_mirror,
-    fourier,
     h2_defect,
     inner,
     lp_norm,
     membership_defect,
     model_project,
     riesz_project,
-    synthesize,
     tilde,
     toeplitz_coanalytic,
 )
@@ -45,7 +42,6 @@ from .core import (
     check_disk_point,
     generate_sequence,
     pseudohyperbolic_distance,
-    validate_sequence,
 )
 from .experiments import (
     ExperimentResult,

@@ -106,13 +106,6 @@ def all_derivatives(product: BlaschkeProduct) -> np.ndarray:
     return np.prod(fac, axis=1)
 
 
-def derivative_at_zero(product: BlaschkeProduct, j: int) -> complex:
-    """B'(z_j) for the j-th zero."""
-    if not 0 <= j < len(product):
-        raise IndexError(f"zero index {j} out of range")
-    return complex(all_derivatives(product)[j])
-
-
 def interpolation_delta(product: BlaschkeProduct) -> float:
     """inf over zeros of |B'(z_j)| (1 - |z_j|), the separation constant."""
     moduli = product.zeros.moduli

@@ -122,16 +122,6 @@ class BoundaryFunction:
         return BoundaryFunction(self.grid, scalar * self.samples)
 
 
-def fourier(f: BoundaryFunction) -> np.ndarray:
-    """Copy of the cached spectrum, aligned with f.grid.modes."""
-    return f.spectrum.copy()
-
-
-def synthesize(grid: BoundaryGrid, spectrum) -> BoundaryFunction:
-    """Inverse of fourier: rebuild samples from coefficients."""
-    return BoundaryFunction.from_spectrum(grid, spectrum)
-
-
 def inner(f: BoundaryFunction, g: BoundaryFunction) -> complex:
     """Discrete L2 inner product int f conj(g) dm."""
     return complex(np.mean(f.samples * np.conj(g.samples)))
@@ -147,11 +137,11 @@ def lp_norm(f: BoundaryFunction, p: float) -> float:
     return float(np.mean(a ** p) ** (1.0 / p))
 
 
-def riesz_project(f: BoundaryFunction, sign) -> BoundaryFunction:
+def riesz_project(f: BoundaryFunction, sign: str) -> BoundaryFunction:
     """Mode truncation: '+' keeps modes n >= 0, '-' keeps modes n <= -1."""
-    if sign in ("+", +1):
+    if sign == "+":
         keep = f.grid.modes >= 0
-    elif sign in ("-", -1):
+    elif sign == "-":
         keep = f.grid.modes < 0
     else:
         raise ValueError("sign must be '+' or '-'")
@@ -237,15 +227,6 @@ def toeplitz_coanalytic(
     _require_h2(psi, tol, "Toeplitz symbol")
     _require_h2(f, tol, "Toeplitz argument")
     return riesz_project(psi.conj() * f, "+")
-
-
-def conjugate_mirror(f: BoundaryFunction) -> BoundaryFunction:
-    """Pointwise conjugate, mapping co-analytic functions to analytic ones.
-
-    Mode n moves to mode -n with conjugated coefficient, so all pointwise
-    moduli, hence sup/L^p/oscillation measurements, are unchanged.
-    """
-    return f.conj()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .blaschke import BlaschkeProduct
 from .boundary import (
     BoundaryFunction,
     bmo_norm,
-    conjugate_mirror,
     h2_defect,
     lp_norm,
     riesz_project,
@@ -65,9 +64,12 @@ class DecayVerdict:
         return out
 
 
-def _boundary_order(zeros: ZeroSequence) -> np.ndarray:
-    # indices ordered by 1 - |z_k| decreasing, i.e. boundary-most last
-    return np.argsort(-(1.0 - zeros.moduli), kind="stable")
+def _boundary_order(zeros: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
+    # indices ordered by the gap 1 - |z_k| decreasing, i.e. boundary-most
+    # last, and the gaps in that order
+    gaps = 1.0 - zeros.moduli
+    order = np.argsort(-gaps, kind="stable")
+    return order, gaps[order]
 
 
 def _terminal_geometric_run(win: np.ndarray, factor: float, decay: bool = False) -> int:
@@ -141,9 +143,8 @@ def _decide_lower_bounded(ratios_ordered: np.ndarray, window_start: int) -> tupl
 
 
 def _class_ratios(
-    zeros: ZeroSequence, transformed: np.ndarray, x: SmoothnessDescriptor
+    gaps: np.ndarray, transformed: np.ndarray, x: SmoothnessDescriptor
 ) -> np.ndarray:
-    gaps = 1.0 - zeros.moduli
     mags = np.abs(transformed)
     if x.kind == "lipschitz":
         return mags / gaps ** x.alpha
@@ -170,10 +171,8 @@ def classify_trace(
     boundary-most half of the indices.
     """
     transformed = conjugate_sequence(zeros, values).values
-    order = _boundary_order(zeros)
-    ratios = _class_ratios(
-        ZeroSequence(zeros.points[order]), transformed[order], x
-    )
+    order, gaps = _boundary_order(zeros)
+    ratios = _class_ratios(gaps, transformed[order], x)
     window_start = len(zeros) // 2
     if x.kind == "gevrey":
         verdict, rule = _decide_lower_bounded(ratios, window_start)
@@ -197,8 +196,7 @@ def log_growth_check(zeros: ZeroSequence, values: ValueSequence) -> DecayVerdict
     """Test |w_k| = O(log(2 / (1 - |z_k|))) along the sequence."""
     if len(zeros) != len(values):
         raise ValueError("value/zero sequence lengths differ")
-    order = _boundary_order(zeros)
-    gaps = 1.0 - zeros.moduli[order]
+    order, gaps = _boundary_order(zeros)
     ratios = np.abs(values.values[order]) / np.log(2.0 / gaps)
     window_start = len(zeros) // 2
     verdict, rule = _decide_bounded(ratios, window_start)
@@ -299,15 +297,13 @@ def projection_decay_report(
     grid = f.grid
     theta = product.sample(grid)
     coanalytic = riesz_project(theta.conj() * f, "-")
-    mirrored = conjugate_mirror(coanalytic)
-    smooth = measure_smoothness(mirrored, x)
+    # conj moves mode n to -n and keeps every modulus
+    smooth = measure_smoothness(coanalytic.conj(), x)
 
     zeros = product.zeros
     values = trace(f, zeros)
-    order = _boundary_order(zeros)
-    ratios = _class_ratios(
-        ZeroSequence(zeros.points[order]), values.values[order], x
-    )
+    order, gaps = _boundary_order(zeros)
+    ratios = _class_ratios(gaps, values.values[order], x)
     notes = []
     if x.kind == "gevrey":
         notes.append("gevrey constant estimated with derivative order capped at 20")

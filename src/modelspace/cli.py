@@ -15,10 +15,18 @@ import numpy as np
 
 from . import blaschke, experiments
 from .blaschke import BlaschkeProduct
-from .boundary import BoundaryFunction, BoundaryGrid, membership_defect, write_csv
+from .boundary import BoundaryGrid, membership_defect, write_csv
 from .classify import classify_trace
 from .core import SmoothnessDescriptor, ValueSequence, ZeroSequence, generate_sequence
-from .interp import conjugate_sequence, kernel_interpolant, lagrange_interpolant
+from .interp import (
+    InterpolantRepresentation,
+    conjugate_sequence,
+    kernel_interpolant,
+    lagrange_interpolant,
+)
+
+# an interpolant is reported within_tolerance when its K2 defect is at most this
+MEMBERSHIP_TOL = 1e-9
 
 
 def _dump(data: dict, path: str | None) -> None:
@@ -34,11 +42,9 @@ def _load_zeros(args) -> ZeroSequence:
     if args.zeros is not None:
         return ZeroSequence.from_json(args.zeros)
     if args.radial_q is not None:
-        kind = "rotated_radial" if args.angle_step else "radial_geometric"
-        params = {"q": args.radial_q, "n": args.n}
-        if args.angle_step:
-            params["angle_step"] = args.angle_step
-        return generate_sequence(kind, **params)
+        return generate_sequence(
+            "rotated_radial", q=args.radial_q, n=args.n, angle_step=args.angle_step
+        )
     raise SystemExit("provide --zeros FILE or --radial-q Q with --n N")
 
 
@@ -51,6 +57,36 @@ def _add_zero_source(parser: argparse.ArgumentParser) -> None:
                         help="rotation per index for generated sequences")
 
 
+def _dichotomy(zeros: ZeroSequence, args) -> experiments.ExperimentResult:
+    if args.values is None:
+        values = ValueSequence(np.ones(len(zeros)))
+    else:
+        values = ValueSequence.from_json(args.values)
+    return experiments.exp_dichotomy(zeros, values, m=args.grid_log2)
+
+
+def _sublevel(zeros: ZeroSequence, args) -> experiments.ExperimentResult:
+    # the mean of the reproducing kernels at the zeros, sampled on the grid
+    n = len(zeros)
+    kernel = InterpolantRepresentation(zeros, np.full(n, 1.0 / n), "kernel_basis")
+    return experiments.exp_sublevel(
+        zeros, kernel.sample(BoundaryGrid(args.grid_log2)),
+        eps=args.epsilon, n_radial=args.density,
+    )
+
+
+# experiment name -> runner(zeros, args); runners look their pipeline up at
+# call time, so rebinding it in the experiments module (as tests do) holds
+EXPERIMENTS = {
+    "nonduality": lambda zeros, args: experiments.exp_nonduality(zeros, m=args.grid_log2),
+    "noninterpolation": lambda zeros, args: experiments.exp_noninterpolation(
+        zeros, m=args.grid_log2
+    ),
+    "dichotomy": _dichotomy,
+    "sublevel": _sublevel,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="modelspace",
@@ -58,8 +94,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--grid-log2", type=int, default=12, dest="grid_log2",
                         help="log2 of the boundary grid size (default 12)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="reporting tolerance carried into outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diagnose", help="product diagnostics for a zero sequence")
@@ -91,8 +125,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("experiment", help="run one of the named pipelines")
     _add_zero_source(p)
-    p.add_argument("--name", required=True,
-                   choices=["nonduality", "noninterpolation", "dichotomy", "sublevel"])
+    p.add_argument("--name", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--values", help="ValueSequence JSON (dichotomy only)")
     p.add_argument("--epsilon", type=float, default=0.5, help="sublevel threshold")
     p.add_argument("--density", type=int, default=48, help="radial lattice density")
@@ -127,50 +160,22 @@ def main(argv=None) -> int:
         out = interp.to_dict()
         defect = membership_defect(sampled, "K2", BlaschkeProduct(zeros).sample(grid))
         out["membership_defect"] = defect
-        out["within_tolerance"] = bool(defect <= args.tol)
+        out["within_tolerance"] = bool(defect <= MEMBERSHIP_TOL)
         _dump(out, args.out)
         return 0
 
     if args.command == "classify":
         zeros = _load_zeros(args)
         values = ValueSequence.from_json(args.values)
-        if args.klass in ("lipschitz", "gevrey"):
-            if args.alpha is None:
-                raise SystemExit(f"--class {args.klass} requires --alpha")
-            desc = SmoothnessDescriptor(args.klass, alpha=args.alpha)
-        elif args.klass == "sobolev":
-            if args.p is None or args.s is None:
-                raise SystemExit("--class sobolev requires --p and --s")
-            desc = SmoothnessDescriptor.sobolev(args.p, args.s)
-        else:
-            desc = SmoothnessDescriptor.bmo()
+        try:
+            desc = SmoothnessDescriptor(args.klass, alpha=args.alpha, p=args.p, s=args.s)
+        except ValueError as exc:
+            raise SystemExit(f"--class {args.klass}: {exc}") from None
         _dump(classify_trace(zeros, values, desc).to_dict(), args.out)
         return 0
 
     # experiment
-    zeros = _load_zeros(args)
-    if args.name == "nonduality":
-        result = experiments.exp_nonduality(zeros, m=args.grid_log2)
-    elif args.name == "noninterpolation":
-        result = experiments.exp_noninterpolation(zeros, m=args.grid_log2)
-    elif args.name == "dichotomy":
-        if args.values is None:
-            values = ValueSequence(np.ones(len(zeros)))
-        else:
-            values = ValueSequence.from_json(args.values)
-        result = experiments.exp_dichotomy(zeros, values, m=args.grid_log2)
-    else:  # sublevel
-        grid = BoundaryGrid(args.grid_log2)
-        points = zeros.points
-        kernel = BoundaryFunction(
-            grid,
-            (1.0 / (1.0 - np.conj(points)[None, :] * grid.nodes[:, None])).sum(axis=1)
-            / len(zeros),
-        )
-        result = experiments.exp_sublevel(
-            zeros, kernel, eps=args.epsilon, n_radial=args.density
-        )
-    result.parameters["tol"] = args.tol
+    result = EXPERIMENTS[args.name](_load_zeros(args), args)
     if args.csv:
         result.write_csv(args.csv)
     _dump(result.to_dict(), args.out)

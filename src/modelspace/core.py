@@ -17,9 +17,6 @@ import numpy as np
 # global safety margin: |z| <= 1 - ETA_MIN for every disk point
 ETA_MIN = 1e-6
 
-# points are validated complex numbers, not a wrapper class
-DiskPoint = complex
-
 _GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0))
 
 
@@ -315,16 +312,3 @@ def _separated(c: float, s: float, n: int) -> ZeroSequence:
         if np.all(gap >= (c * deltas ** s)[:, None]):
             return ZeroSequence(_sorted_points(pts))
         level += 1
-
-
-def validate_sequence(zeros: ZeroSequence) -> DiagnosticsReport:
-    """Summarize the sequence: partial Blaschke sum, separation, max modulus."""
-    return DiagnosticsReport(
-        name="sequence",
-        scalars={
-            "length": len(zeros),
-            "blaschke_sum": zeros.blaschke_sum(),
-            "min_separation": zeros.min_separation(),
-            "max_modulus": float(zeros.moduli.max()),
-        },
-    )

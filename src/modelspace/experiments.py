@@ -26,6 +26,7 @@ from .boundary import (
     bmo_norm,
     h2_defect,
     lp_norm,
+    model_project,
     riesz_project,
 )
 from .classify import DecayVerdict, log_growth_check
@@ -52,9 +53,6 @@ class ExperimentResult:
         if not math.isfinite(value):
             raise ValueError(f"series entry {label}[{index}] is not finite")
         self.series.append((label, index, value))
-
-    def get(self, label: str) -> list:
-        return [(i, v) for lab, i, v in self.series if lab == label]
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +91,7 @@ def log_samples(grid: BoundaryGrid) -> BoundaryFunction:
     Needs an offset grid so that no node hits the singularity at angle 0.
     The returned function is the analytic part of the raw samples; the
     small negative-mode residue of sampling a log singularity is dropped
-    (and reported by the experiments that use it).
+    here (exp_nonduality reports it as log_sampling_defect).
     """
     if grid.offset == 0.0:
         raise ValueError("log(1 - z) needs the half-offset grid (node at angle 0)")
@@ -127,10 +125,7 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     phi = riesz_project(phi_raw, "+")
     result.parameters["log_sampling_defect"] = h2_defect(phi_raw)
 
-    product = BlaschkeProduct(zeros)
-    theta = product.sample(grid)
-    coanalytic = riesz_project(theta.conj() * phi, "-")
-    g = theta * coanalytic
+    g = model_project(BlaschkeProduct(zeros).sample(grid), phi)
 
     g_at = cauchy_eval(g, zeros.points, tol=1e-2)
     phi_at = cauchy_eval(phi, zeros.points)
@@ -193,10 +188,7 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
         result.add("kernel_l1_quadrature", j, quad_norm)
         result.add("kernel_l1_ratio", j, quad_norm / envelope[j])
 
-    phi = log_samples(grid)
-    product = BlaschkeProduct(zeros)
-    theta = product.sample(grid)
-    g = theta * riesz_project(theta.conj() * phi, "-")
+    g = model_project(BlaschkeProduct(zeros).sample(grid), log_samples(grid))
     values = ValueSequence(cauchy_eval(g, zeros.points, tol=1e-2))
     verdict = log_growth_check(zeros, values)
     result.verdicts.append(verdict)

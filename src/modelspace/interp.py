@@ -90,11 +90,15 @@ def conjugate_sequence(zeros: ZeroSequence, values: ValueSequence) -> ValueSeque
     return ValueSequence(conjugate_matrix(zeros) @ values.values)
 
 
-def _refined_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # one step of iterative refinement recovers the digits a mildly
-    # ill-conditioned solve loses; matrices here are small
+def _refined_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, max_condition: float):
+    # (solution, condition number); refuses a matrix whose condition number
+    # exceeds max_condition.  One step of iterative refinement recovers the
+    # digits a mildly ill-conditioned solve loses; matrices here are small
+    cond = float(np.linalg.cond(matrix))
+    if cond > max_condition:
+        raise ValueError(f"{what} condition {cond:.3e} exceeds {max_condition:g}")
     x = np.linalg.solve(matrix, rhs)
-    return x + np.linalg.solve(matrix, rhs - matrix @ x)
+    return x + np.linalg.solve(matrix, rhs - matrix @ x), cond
 
 
 def invert_conjugate(
@@ -105,11 +109,10 @@ def invert_conjugate(
     """Solve for values whose conjugate sequence matches the target."""
     if len(zeros) != len(conjugate_values):
         raise ValueError("value/zero sequence lengths differ")
-    A = conjugate_matrix(zeros)
-    cond = float(np.linalg.cond(A))
-    if cond > max_condition:
-        raise ValueError(f"conjugate matrix condition {cond:.3e} exceeds {max_condition:g}")
-    return ValueSequence(_refined_solve(A, conjugate_values.values))
+    solution, _ = _refined_solve(
+        conjugate_matrix(zeros), conjugate_values.values, "conjugate matrix", max_condition
+    )
+    return ValueSequence(solution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,12 +219,9 @@ def kernel_interpolant(
         raise ValueError("value/zero sequence lengths differ")
     pts = zeros.points
     gram = 1.0 / (1.0 - np.conj(pts)[None, :] * pts[:, None])
-    cond = float(np.linalg.cond(gram))
-    if cond > max_condition:
-        raise ValueError(f"kernel Gram condition {cond:.3e} exceeds {max_condition:g}")
+    coeffs, cond = _refined_solve(gram, values.values, "kernel Gram", max_condition)
     if cond > 1e8:
         warnings.warn(f"kernel Gram matrix is poorly conditioned ({cond:.3e})")
-    coeffs = _refined_solve(gram, values.values)
     return InterpolantRepresentation(zeros, coeffs, "kernel_basis", condition=cond)
 
 

@@ -22,12 +22,12 @@ from modelspace import (
     BoundaryGrid,
     ValueSequence,
     ZeroSequence,
+    all_derivatives,
     bmo_norm,
     bmo_norm_exhaustive,
     cauchy_eval,
     conjugate_matrix,
     conjugate_sequence,
-    derivative_at_zero,
     exp_nonduality,
     frostman_sum,
     generate_sequence,
@@ -122,7 +122,7 @@ def test_criterion_03_single_zero_closed_forms():
             worst_delta, abs(interpolation_delta(product) - 1.0 / (1.0 + abs(z1)))
         )
     half = BlaschkeProduct(generate_sequence("explicit", points=[0.5]))
-    deriv_err = abs(derivative_at_zero(half, 0) - (-4.0 / 3.0))
+    deriv_err = abs(all_derivatives(half)[0] - (-4.0 / 3.0))
     origin = generate_sequence("explicit", points=[0])
     worst_frostman = max(
         abs(frostman_sum(origin, complex(np.exp(1j * t))) - 1.0)

@@ -5,8 +5,8 @@ from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    all_derivatives,
     blaschke_factor,
-    derivative_at_zero,
     diagnose,
     eval_product,
     frostman_sum,
@@ -15,7 +15,6 @@ from modelspace import (
     interpolation_delta,
     sublevel_indicator,
 )
-from modelspace.blaschke import all_derivatives
 
 
 def _product(*points):
@@ -70,25 +69,19 @@ def test_unimodularity_many_zeros(rng):
 
 
 def test_derivative_examples():
-    assert derivative_at_zero(_product(0), 0) == pytest.approx(1.0, abs=1e-15)
-    assert derivative_at_zero(_product(0.5), 0) == pytest.approx(-4.0 / 3.0, abs=1e-15)
+    assert all_derivatives(_product(0))[0] == pytest.approx(1.0, abs=1e-15)
+    assert all_derivatives(_product(0.5))[0] == pytest.approx(-4.0 / 3.0, abs=1e-15)
     b = _product(0, 0.5)
-    assert derivative_at_zero(b, 0) == pytest.approx(0.5, abs=1e-14)
+    assert all_derivatives(b)[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_derivative_matches_finite_differences(rng):
     pts = [0.1 + 0.2j, -0.4, 0.3 - 0.5j, 0.6j]
     product = _product(*pts)
     h = 1e-6
-    for j, zj in enumerate(product.zeros.points):
+    for zj, exact in zip(product.zeros.points, all_derivatives(product)):
         fd = (eval_product(product, zj + h) - eval_product(product, zj - h)) / (2 * h)
-        exact = derivative_at_zero(product, j)
         assert abs(fd - exact) / abs(exact) < 1e-5
-
-
-def test_derivative_index_error():
-    with pytest.raises(IndexError):
-        derivative_at_zero(_product(0.5), 1)
 
 
 def test_delta_examples():
@@ -175,13 +168,6 @@ def test_tail_bound():
     assert exact.truncation_bound(0.99) == 0.0
     with pytest.raises(ValueError):
         BlaschkeProduct(exact.zeros, tail_bound=-1.0)
-
-
-def test_all_derivatives_consistent():
-    product = _product(0.1, -0.3 + 0.4j, 0.7j)
-    vec = all_derivatives(product)
-    for j in range(3):
-        assert vec[j] == pytest.approx(derivative_at_zero(product, j), abs=1e-14)
 
 
 def test_diagnose_report_keys():

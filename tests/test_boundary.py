@@ -13,8 +13,6 @@ from modelspace import (
     backward_shift,
     bmo_norm,
     bmo_norm_exhaustive,
-    conjugate_mirror,
-    fourier,
     generate_sequence,
     h2_defect,
     inner,
@@ -24,7 +22,6 @@ from modelspace import (
     membership_defect,
     model_project,
     riesz_project,
-    synthesize,
     tilde,
     toeplitz_coanalytic,
 )
@@ -67,7 +64,7 @@ def test_fourier_examples():
 
     zeta = BoundaryFunction.from_callable(grid, lambda z: z)
     assert zeta.coefficient(1) == pytest.approx(1.0, abs=1e-14)
-    spec = fourier(zeta)
+    spec = zeta.spectrum.copy()
     spec[grid.modes == 1] = 0.0
     assert np.max(np.abs(spec)) < 1e-14
 
@@ -75,7 +72,7 @@ def test_fourier_examples():
 def test_round_trip_and_parseval(rng):
     grid = _grid(10)
     f = _random_bandlimited(rng, grid)
-    back = synthesize(grid, fourier(f))
+    back = BoundaryFunction.from_spectrum(grid, f.spectrum)
     assert np.max(np.abs(back.samples - f.samples)) < 1e-12
     lhs = np.sum(np.abs(f.spectrum) ** 2)
     rhs = np.mean(np.abs(f.samples) ** 2)
@@ -137,6 +134,13 @@ def test_riesz_properties(rng):
         assert h2_defect(plus) < 1e-28
     h2 = _random_h2(rng, grid)
     assert lp_norm(riesz_project(h2, "-"), 2) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [+1, -1, "x"])
+def test_riesz_rejects_other_signs(sign):
+    f = BoundaryFunction.constant(_grid(), 1.0)
+    with pytest.raises(ValueError, match="sign must be"):
+        riesz_project(f, sign)
 
 
 def test_backward_shift_examples():
@@ -414,7 +418,7 @@ def test_toeplitz_against_convolution_oracle():
 def test_conjugate_mirror_moves_modes():
     grid = _grid()
     f = BoundaryFunction.from_callable(grid, lambda z: np.conj(z) + 2 * np.conj(z) ** 3)
-    m = conjugate_mirror(f)
+    m = f.conj()
     assert h2_defect(m) < 1e-14
     assert m.coefficient(1) == pytest.approx(1.0, abs=1e-13)
     assert m.coefficient(3) == pytest.approx(2.0, abs=1e-13)

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from modelspace import (
+    BoundaryFunction,
+    BoundaryGrid,
     SmoothnessDescriptor,
     ValueSequence,
     ZeroSequence,
     classify_trace,
     conjugate_sequence,
+    exp_sublevel,
     generate_sequence,
 )
+from modelspace import experiments
 from modelspace.cli import main
 
 
@@ -103,6 +107,18 @@ def test_classify_cli_requires_parameters(files):
         main(["classify", "--zeros", zpath, "--values", wpath, "--class", "sobolev"])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--class", "bmo", "--alpha", "1"],
+    ["--class", "sobolev", "--p", "0.5", "--s", "1"],
+    ["--class", "lipschitz", "--alpha", "-1"],
+])
+def test_classify_cli_rejects_malformed_parameters(files, flags):
+    _, zpath, wpath, _, _ = files
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--zeros", zpath, "--values", wpath, *flags])
+    assert info.value.code not in (0, None)
+
+
 def test_experiment_dichotomy(tmp_path):
     out = tmp_path / "exp.json"
     csv_path = tmp_path / "exp.csv"
@@ -127,7 +143,6 @@ def test_experiment_nonduality_and_noninterpolation(tmp_path):
     data = json.loads(out.read_text())
     labels = {lab for lab, _, _ in data["series"]}
     assert {"value_preservation_residual", "log_envelope_ratio", "coanalytic_bmo"} <= labels
-    assert data["parameters"]["tol"] == pytest.approx(1e-9)
 
     out2 = tmp_path / "ni.json"
     assert main([
@@ -161,3 +176,46 @@ def test_stdout_output(files, capsys):
     assert main(["transform", "--zeros", zpath, "--values", wpath]) == 0
     data = json.loads(capsys.readouterr().out)
     assert "values" in data
+
+
+def _mean_kernel_oracle(grid, zeros):
+    # the M x n matrix form of (1/n) sum_j 1 / (1 - conj(z_j) z) on the grid
+    points = zeros.points
+    kernels = 1.0 / (1.0 - np.conj(points)[None, :] * grid.nodes[:, None])
+    return BoundaryFunction(grid, kernels.sum(axis=1) / len(zeros))
+
+
+def _sublevel_argv(m, n, out):
+    return ["--grid-log2", str(m), "experiment", "--name", "sublevel", "--radial-q", "0.7",
+            "--n", str(n), "--angle-step", "0.37", "--out", str(out)]
+
+
+@pytest.mark.parametrize("m", [10, 12])
+@pytest.mark.parametrize("n", [4, 12])
+def test_sublevel_kernel_matches_matrix_oracle(tmp_path, monkeypatch, m, n):
+    seen = {}
+
+    def capture(zeros, f, **kwargs):
+        seen["zeros"], seen["f"] = zeros, f
+        return exp_sublevel(zeros, f, **kwargs)
+
+    monkeypatch.setattr(experiments, "exp_sublevel", capture)
+    assert main(_sublevel_argv(m, n, tmp_path / "sub.json")) == 0
+    oracle = _mean_kernel_oracle(BoundaryGrid(m), seen["zeros"]).samples
+    gap = np.max(np.abs(seen["f"].samples - oracle)) / np.max(np.abs(oracle))
+    assert gap <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_sublevel_cli_matches_oracle_kernel_pipeline(tmp_path, n):
+    out = tmp_path / "sub.json"
+    assert main(_sublevel_argv(12, n, out)) == 0
+    data = json.loads(out.read_text())
+    zeros = generate_sequence("rotated_radial", q=0.7, n=n, angle_step=0.37)
+    expect = exp_sublevel(zeros, _mean_kernel_oracle(BoundaryGrid(12), zeros))
+    assert data["parameters"]["lattice_points_in_sublevel"] == (
+        expect.parameters["lattice_points_in_sublevel"]
+    )
+    assert [lab for lab, _, _ in data["series"]] == [lab for lab, _, _ in expect.series]
+    for (_, _, got), (_, _, want) in zip(data["series"], expect.series):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -11,7 +11,6 @@ from modelspace import (
     check_disk_point,
     generate_sequence,
     pseudohyperbolic_distance,
-    validate_sequence,
 )
 
 
@@ -97,16 +96,16 @@ def test_zero_sequence_invariants():
 
 
 def test_validate_sequence_examples():
-    r = validate_sequence(generate_sequence("explicit", points=[0]))
-    assert r.scalars["blaschke_sum"] == pytest.approx(1.0, abs=1e-15)
+    zeros = generate_sequence("explicit", points=[0])
+    assert zeros.blaschke_sum() == pytest.approx(1.0, abs=1e-15)
 
-    r = validate_sequence(generate_sequence("explicit", points=[0.5, -0.5]))
-    assert r.scalars["blaschke_sum"] == pytest.approx(1.0, abs=1e-15)
-    assert r.scalars["min_separation"] == pytest.approx(0.8, abs=1e-15)
+    zeros = generate_sequence("explicit", points=[0.5, -0.5])
+    assert zeros.blaschke_sum() == pytest.approx(1.0, abs=1e-15)
+    assert zeros.min_separation() == pytest.approx(0.8, abs=1e-15)
 
     for n in (5, 10, 15):
         zeros = generate_sequence("radial_geometric", q=0.5, n=n)
-        assert validate_sequence(zeros).scalars["blaschke_sum"] == pytest.approx(
+        assert zeros.blaschke_sum() == pytest.approx(
             1 - 2.0 ** -n, abs=1e-12
         )
 
