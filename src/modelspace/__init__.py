@@ -39,7 +39,6 @@ from .core import (
     SmoothnessDescriptor,
     ValueSequence,
     ZeroSequence,
-    check_disk_point,
     generate_sequence,
     pseudohyperbolic_distance,
 )

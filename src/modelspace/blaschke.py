@@ -43,36 +43,16 @@ def blaschke_factor(zj: complex, z) -> np.ndarray | complex:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Finite Blaschke product, plus the Blaschke sum of any dropped tail.
-
-    tail_bound is 0 for an exact finite product; a positive value records
-    the mass sum(1 - |z_j|) of zeros omitted by truncation and feeds the
-    multiplicative error bound of truncation_bound().
-    """
+    """Finite Blaschke product with the given zeros."""
 
     zeros: ZeroSequence
-    tail_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.zeros)
 
-    def __call__(self, z):
-        return eval_product(self, z)
-
     def sample(self, grid: BoundaryGrid) -> BoundaryFunction:
         """The product on the grid's nodes."""
         return BoundaryFunction(grid, eval_product(self, grid.nodes))
-
-    def truncation_bound(self, z) -> float:
-        """Relative error bound for the dropped tail at an interior point."""
-        r = float(np.max(np.abs(z)))
-        if r >= 1.0:
-            return math.inf if self.tail_bound > 0 else 0.0
-        return float(math.expm1(2.0 * self.tail_bound / (1.0 - r)))
 
 
 def eval_product(product: BlaschkeProduct, z):
@@ -89,18 +69,14 @@ def eval_product(product: BlaschkeProduct, z):
     return out if out.shape else complex(out)
 
 
-def _factor_matrix(points: np.ndarray) -> np.ndarray:
-    # F[j, k] = b_k(z_j); diagonal entries are 0 and get replaced by callers
-    num = points[None, :] - points[:, None]
-    den = 1.0 - np.conj(points)[None, :] * points[:, None]
-    units = np.array([_unit(zj) for zj in points])
-    return units[None, :] * num / den
-
-
 def all_derivatives(product: BlaschkeProduct) -> np.ndarray:
     """B'(z_j) for every zero, via the closed form of the product rule."""
     pts = product.zeros.points
-    fac = _factor_matrix(pts)
+    # fac[j, k] = b_k(z_j); the diagonal, 0 here, gets b_j'(z_j) below
+    num = pts[None, :] - pts[:, None]
+    den = 1.0 - np.conj(pts)[None, :] * pts[:, None]
+    units = np.array([_unit(zj) for zj in pts])
+    fac = units[None, :] * num / den
     own = np.array([-_unit(zj) / (1.0 - abs(zj) ** 2) for zj in pts])
     np.fill_diagonal(fac, own)
     return np.prod(fac, axis=1)
@@ -146,15 +122,16 @@ def frostman_sup(zeros: ZeroSequence, grid_size: int = 4096) -> float:
 
     Scans a uniform grid of the stated size, then refines around the top
     grid maximizers with golden-section search on the neighbouring arcs.
+    The grid sums are accumulated one zero at a time into length-M
+    buffers, so memory stays O(M) whatever the number of zeros.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     nodes = np.exp(1j * theta)
-    vals = np.sum(
-        (1.0 - zeros.moduli)[None, :] / np.abs(nodes[:, None] - zeros.points[None, :]),
-        axis=1,
-    )
+    vals = np.zeros(grid_size)
+    for zj, gap in zip(zeros.points, 1.0 - zeros.moduli):
+        vals += gap / np.abs(nodes - zj)
     spacing = 2.0 * np.pi / grid_size
 
     def fun(t: float) -> float:

@@ -19,12 +19,15 @@ from functools import cached_property
 
 import numpy as np
 
-DEFECT_TOL = 1e-8  # default relative-energy threshold for "negligible" modes
+DEFECT_TOL = 1e-8  # relative-energy threshold for "negligible" negative modes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoundaryGrid:
-    """Uniform circle grid with 2**m nodes exp(2 pi i (t + offset) / M)."""
+    """Uniform circle grid with 2**m nodes exp(2 pi i (t + offset) / M).
+
+    Grids compare equal when m and offset agree.
+    """
 
     m: int
     offset: float = 0.0
@@ -102,9 +105,7 @@ class BoundaryFunction:
 
     def _binary(self, other, op):
         if isinstance(other, BoundaryFunction):
-            if other.grid is not self.grid and (
-                other.grid.m != self.grid.m or other.grid.offset != self.grid.offset
-            ):
+            if other.grid != self.grid:
                 raise ValueError("operands live on different grids")
             other = other.samples
         return BoundaryFunction(self.grid, op(self.samples, other))
@@ -158,15 +159,15 @@ def h2_defect(f: BoundaryFunction) -> float:
     return float(np.sum(power[f.grid.size // 2 :])) / total  # modes -M/2 .. -1
 
 
-def _require_h2(f: BoundaryFunction, tol: float, what: str) -> None:
+def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> None:
     d = h2_defect(f)
     if d > tol:
         raise ValueError(f"{what} is not in H2 at tolerance {tol:g} (defect {d:.3e})")
 
 
-def backward_shift(f: BoundaryFunction, tol: float = DEFECT_TOL) -> BoundaryFunction:
+def backward_shift(f: BoundaryFunction) -> BoundaryFunction:
     """(f - f(0)) / z on the spectrum: mode n picks up coefficient n + 1."""
-    _require_h2(f, tol, "backward shift input")
+    _require_h2(f, "backward shift input")
     M = f.grid.size
     spec = np.zeros(M, dtype=complex)
     # modes 0 .. M/2 - 2 receive coefficients 1 .. M/2 - 1
@@ -183,22 +184,20 @@ def _require_unimodular(theta: BoundaryFunction, tol: float = 1e-8) -> None:
 def tilde(theta: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
     """Antilinear involution f -> conj(z) conj(f) theta on the samples."""
     _require_unimodular(theta)
-    if theta.grid.m != f.grid.m or theta.grid.offset != f.grid.offset:
+    if theta.grid != f.grid:
         raise ValueError("theta and f live on different grids")
     samples = np.conj(f.grid.nodes) * np.conj(f.samples) * theta.samples
     return BoundaryFunction(f.grid, samples)
 
 
-def model_project(
-    theta: BoundaryFunction, f: BoundaryFunction, tol: float = DEFECT_TOL
-) -> BoundaryFunction:
+def model_project(theta: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
     """Projection of f in H2 onto the star-invariant subspace of theta.
 
     Computes theta * P_-(conj(theta) f).  The output g satisfies f - g in
     theta H2, so g reproduces the values of f at the zeros of theta.
     """
     _require_unimodular(theta)
-    _require_h2(f, tol, "projection input")
+    _require_h2(f, "projection input")
     inner_part = riesz_project(theta.conj() * f, "-")
     return theta * inner_part
 
@@ -220,12 +219,10 @@ def membership_defect(
     raise ValueError(f"unknown space {space!r}")
 
 
-def toeplitz_coanalytic(
-    psi: BoundaryFunction, f: BoundaryFunction, tol: float = DEFECT_TOL
-) -> BoundaryFunction:
+def toeplitz_coanalytic(psi: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
     """Toeplitz operator with co-analytic symbol: P_+(conj(psi) f)."""
-    _require_h2(psi, tol, "Toeplitz symbol")
-    _require_h2(f, tol, "Toeplitz argument")
+    _require_h2(psi, "Toeplitz symbol")
+    _require_h2(f, "Toeplitz argument")
     return riesz_project(psi.conj() * f, "+")
 
 
@@ -325,28 +322,34 @@ def bmo_norm_exhaustive(f: BoundaryFunction) -> float:
 
 
 def write_csv(f: BoundaryFunction, path) -> None:
-    """Rows t, re(sample), im(sample)."""
+    """Rows t + offset, re(sample), im(sample).
+
+    The first column reads 0, 1, ... on a plain grid and 0.5, 1.5, ... on a
+    half-offset grid, so the file names its own grid.
+    """
+    offset = f.grid.offset
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for t, v in enumerate(f.samples):
-            writer.writerow([t, repr(float(v.real)), repr(float(v.imag))])
+            position = t + offset if offset else t
+            writer.writerow([position, repr(float(v.real)), repr(float(v.imag))])
 
 
-def spectrum_dict(f: BoundaryFunction) -> dict:
-    """Spectrum as JSON-ready data: mode numbers and [re, im] coefficients."""
-    return {
-        "modes": [int(n) for n in f.grid.modes],
-        "coefficients": [[float(c.real), float(c.imag)] for c in f.spectrum],
-    }
+def read_csv(path) -> BoundaryFunction:
+    """Rebuild a BoundaryFunction from write_csv output, on the grid it names.
 
-
-def read_csv(path, offset: float = 0.0) -> BoundaryFunction:
-    """Rebuild a BoundaryFunction from write_csv output."""
-    rows = []
+    The offset is read from the first column, which must be exactly t or
+    exactly t + 0.5 for t = 0, ..., M - 1.
+    """
+    positions, rows = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for t, re, im in csv.reader(fh):
+            positions.append(float(t))
             rows.append(complex(float(re), float(im)))
-    m = int(math.log2(len(rows)))
+    m = int(math.log2(len(rows))) if rows else 0
     if 1 << m != len(rows):
         raise ValueError("sample count in the file is not a power of two")
+    offset = positions[0]
+    if offset not in (0.0, 0.5) or not np.array_equal(positions, np.arange(len(rows)) + offset):
+        raise ValueError("first column must be t or t + 0.5 for t = 0, 1, ..., M - 1")
     return BoundaryFunction(BoundaryGrid(m, offset), np.array(rows))

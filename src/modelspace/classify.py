@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .boundary import (
-    BoundaryFunction,
-    bmo_norm,
-    h2_defect,
-    lp_norm,
-    riesz_project,
-)
+from .boundary import BoundaryFunction, _require_h2, bmo_norm, lp_norm, riesz_project
 from .core import DiagnosticsReport, SmoothnessDescriptor, ValueSequence, ZeroSequence
 from .interp import conjugate_sequence, trace
 
@@ -279,10 +273,7 @@ def measure_smoothness(f: BoundaryFunction, x: SmoothnessDescriptor) -> float:
 
 
 def projection_decay_report(
-    product: BlaschkeProduct,
-    f: BoundaryFunction,
-    x: SmoothnessDescriptor,
-    tol: float = 1e-8,
+    product: BlaschkeProduct, f: BoundaryFunction, x: SmoothnessDescriptor
 ) -> DiagnosticsReport:
     """Pair the two sides of the trace-decay correspondence at desk scale.
 
@@ -292,10 +283,8 @@ def projection_decay_report(
     finite product both numbers are finite; trend studies over nested
     truncations compare their growth.
     """
-    if h2_defect(f) > tol:
-        raise ValueError("projection_decay_report expects f in H2")
-    grid = f.grid
-    theta = product.sample(grid)
+    _require_h2(f, "projection_decay_report input")
+    theta = product.sample(f.grid)
     coanalytic = riesz_project(theta.conj() * f, "-")
     # conj moves mode n to -n and keeps every modulus
     smooth = measure_smoothness(coanalytic.conj(), x)

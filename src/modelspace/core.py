@@ -20,22 +20,27 @@ ETA_MIN = 1e-6
 _GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0))
 
 
-def check_disk_point(z: complex, eta: float = ETA_MIN) -> complex:
-    """Validate |z| <= 1 - eta and return z as a complex number."""
-    z = complex(z)
-    if abs(z) > 1.0 - eta:
-        raise ValueError(f"|z| = {abs(z):.12g} violates the margin 1 - {eta:g}")
-    return z
-
-
 def pseudohyperbolic_distance(a: complex, b: complex) -> float:
     """|a - b| / |1 - conj(a) b|, the automorphism-invariant disk metric."""
     a, b = complex(a), complex(b)
     return abs(a - b) / abs(1.0 - a.conjugate() * b)
 
 
+class _JsonFile:
+    """JSON file round trip through the subclass's to_dict / from_dict."""
+
+    @classmethod
+    def from_json(cls, path):
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+    def to_json(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
+
+
 @dataclass(frozen=True, eq=False)
-class ZeroSequence:
+class ZeroSequence(_JsonFile):
     """Finite ordered sequence of pairwise distinct points in the disk."""
 
     points: np.ndarray
@@ -47,9 +52,7 @@ class ZeroSequence:
             raise ValueError("a zero sequence needs at least one point")
         if np.max(np.abs(pts)) > 1.0 - ETA_MIN:
             raise ValueError("some point violates the circle margin ETA_MIN")
-        diff = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() == 0.0:
+        if np.unique(pts).size != pts.size:
             raise ValueError("points must be pairwise distinct")
         if self.labels is not None and len(self.labels) != pts.size:
             raise ValueError("labels must match the number of points")
@@ -97,18 +100,10 @@ class ZeroSequence:
         labels = tuple(data["labels"]) if "labels" in data else None
         return cls(pts, labels)
 
-    @classmethod
-    def from_json(cls, path) -> "ZeroSequence":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 @dataclass(frozen=True, eq=False)
-class ValueSequence:
+class ValueSequence(_JsonFile):
     """Complex values aligned index-by-index with a ZeroSequence."""
 
     values: np.ndarray
@@ -146,14 +141,6 @@ class ValueSequence:
     def from_dict(cls, data: dict) -> "ValueSequence":
         return cls(np.array([complex(re, im) for re, im in data["values"]]))
 
-    @classmethod
-    def from_json(cls, path) -> "ValueSequence":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 _DESCRIPTOR_KINDS = ("lipschitz", "bmo", "gevrey", "sobolev")
@@ -194,22 +181,6 @@ class SmoothnessDescriptor:
                 raise ValueError("sobolev requires p in (1, inf)")
             if self.s is None or self.s <= 0:
                 raise ValueError("sobolev requires s > 0")
-
-    @classmethod
-    def lipschitz(cls, alpha: float) -> "SmoothnessDescriptor":
-        return cls("lipschitz", alpha=alpha)
-
-    @classmethod
-    def bmo(cls) -> "SmoothnessDescriptor":
-        return cls("bmo")
-
-    @classmethod
-    def gevrey(cls, alpha: float) -> "SmoothnessDescriptor":
-        return cls("gevrey", alpha=alpha)
-
-    @classmethod
-    def sobolev(cls, p: float, s: float) -> "SmoothnessDescriptor":
-        return cls("sobolev", p=p, s=s)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -256,29 +227,25 @@ def _sorted_points(pts: np.ndarray) -> np.ndarray:
 def generate_sequence(kind: str, **params) -> ZeroSequence:
     """Build a ZeroSequence by one of the named recipes.
 
-    kind = "radial_geometric": z_k = 1 - q**k, k = 1..n, with q in (0, 1).
-    kind = "rotated_radial":   z_k = (1 - q**k) exp(i k angle_step).
-    kind = "separated":        greedy sequence with |z_j - z_k| >=
-                               c (1 - |z_j|)**s for all j != k, s in (0, 1/2).
-    kind = "explicit":         points given directly (order preserved).
+    kind = "rotated_radial": z_k = (1 - q**k) exp(i k angle_step), k = 1..n,
+                             q in (0, 1), angle_step 0 (radial) by default.
+    kind = "separated":      greedy sequence with |z_j - z_k| >=
+                             c (1 - |z_j|)**s for all j != k, s in (0, 1/2).
+
+    Points given directly are ZeroSequence(points).
     """
-    if kind == "radial_geometric":
-        return _radial(params["q"], params["n"], 0.0)
+    if kind not in ("rotated_radial", "separated"):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    if params["n"] < 1:
+        raise ValueError("n must be >= 1")
     if kind == "rotated_radial":
-        return _radial(params["q"], params["n"], params["angle_step"])
-    if kind == "separated":
-        return _separated(params["c"], params["s"], params["n"])
-    if kind == "explicit":
-        pts = np.array([check_disk_point(z) for z in params["points"]])
-        return ZeroSequence(pts)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+        return _radial(params["q"], params["n"], params.get("angle_step", 0.0))
+    return _separated(params["c"], params["s"], params["n"])
 
 
 def _radial(q: float, n: int, angle_step: float) -> ZeroSequence:
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1)
     radii = 1.0 - q ** k
     if np.any(radii > 1.0 - ETA_MIN):
@@ -292,8 +259,6 @@ def _separated(c: float, s: float, n: int) -> ZeroSequence:
         raise ValueError("c must be positive")
     if not 0.0 < s < 0.5:
         raise ValueError("s must lie in (0, 1/2)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     # Points live in one band 1 - |z| in (delta/2, delta], spread over the
     # circle; the required pairwise gap c (1 - |z_j|)**s shrinks with the
     # band depth while the circumference stays put, so a deep enough band

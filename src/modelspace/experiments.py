@@ -36,6 +36,11 @@ from .interp import _TABLE_ENTRIES, cauchy_eval, conjugate_sequence, lagrange_in
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
 
+# exp_sublevel's polar lattice: angles per circle, and the gap 1 - r of the
+# circle nearest the boundary
+SUBLEVEL_ANGLES = 256
+SUBLEVEL_DEPTH = 1e-4
+
 
 @dataclass
 class ExperimentResult:
@@ -74,17 +79,6 @@ class ExperimentResult:
                 writer.writerow([lab, i, repr(v)])
 
 
-def _check_resolution(result: ExperimentResult, zeros: ZeroSequence, M: int) -> None:
-    margin = M * (1.0 - float(zeros.moduli.max()))
-    if margin < RESOLUTION_MARGIN:
-        msg = (
-            f"grid of size {M} under-resolves the kernel nearest the boundary "
-            f"(M (1 - max|z_j|) = {margin:.1f} < {RESOLUTION_MARGIN:g})"
-        )
-        warnings.warn(msg)
-        result.warnings.append(msg)
-
-
 def log_samples(grid: BoundaryGrid) -> BoundaryFunction:
     """Principal-branch log(1 - z) sampled on the grid.
 
@@ -105,6 +99,26 @@ def _truncation_ladder(n: int) -> list[int]:
     return list(range(4, n + 1, 2)) if n % 2 == 0 else list(range(3, n + 1, 2))
 
 
+def _log_projection(name: str, zeros: ZeroSequence, m: int):
+    # set-up shared by the two pipelines of the logarithm: the result on the
+    # half-offset grid (resolution checked), the raw samples of log(1 - z),
+    # phi = P_+ log(1 - z), and g = model_project(B, phi) at the zeros
+    grid = BoundaryGrid(m, offset=0.5)
+    result = ExperimentResult(name=name, parameters={"grid_log2": m, "n_zeros": len(zeros)})
+    margin = grid.size * (1.0 - float(zeros.moduli.max()))
+    if margin < RESOLUTION_MARGIN:
+        msg = (
+            f"grid of size {grid.size} under-resolves the kernel nearest the boundary "
+            f"(M (1 - max|z_j|) = {margin:.1f} < {RESOLUTION_MARGIN:g})"
+        )
+        warnings.warn(msg)
+        result.warnings.append(msg)
+    phi_raw = BoundaryFunction(grid, np.log(1.0 - grid.nodes))
+    phi = riesz_project(phi_raw, "+")
+    g = model_project(BlaschkeProduct(zeros).sample(grid), phi)
+    return result, phi_raw, phi, cauchy_eval(g, zeros.points, tol=1e-2)
+
+
 def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     """Project the logarithm onto the model space and track its size.
 
@@ -114,20 +128,9 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     desk-scale shadow of the projection falling outside BMO).
     """
     start = time.perf_counter()
-    grid = BoundaryGrid(m, offset=0.5)
-    result = ExperimentResult(
-        name="nonduality",
-        parameters={"grid_log2": m, "n_zeros": len(zeros)},
-    )
-    _check_resolution(result, zeros, grid.size)
-
-    phi_raw = BoundaryFunction(grid, np.log(1.0 - grid.nodes))
-    phi = riesz_project(phi_raw, "+")
+    result, phi_raw, phi, g_at = _log_projection("nonduality", zeros, m)
     result.parameters["log_sampling_defect"] = h2_defect(phi_raw)
 
-    g = model_project(BlaschkeProduct(zeros).sample(grid), phi)
-
-    g_at = cauchy_eval(g, zeros.points, tol=1e-2)
     phi_at = cauchy_eval(phi, zeros.points)
     envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j in range(len(zeros)):
@@ -136,7 +139,7 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
 
     for n in _truncation_ladder(len(zeros)):
         sub = zeros.truncate(n)
-        theta_n = BlaschkeProduct(sub).sample(grid)
+        theta_n = BlaschkeProduct(sub).sample(phi.grid)
         co_n = riesz_project(theta_n.conj() * phi, "-")
         result.add("coanalytic_bmo", n, bmo_norm(co_n))
 
@@ -171,25 +174,19 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     projected logarithm's trace over nested truncations.
     """
     start = time.perf_counter()
-    grid = BoundaryGrid(m, offset=0.5)
-    result = ExperimentResult(
-        name="noninterpolation",
-        parameters={"grid_log2": m, "n_zeros": len(zeros)},
-    )
-    _check_resolution(result, zeros, grid.size)
+    result, _, phi, g_at = _log_projection("noninterpolation", zeros, m)
+    grid = phi.grid
 
     envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j, zj in enumerate(zeros.points):
-        r = abs(zj)
         kernel = BoundaryFunction(grid, 1.0 / (1.0 - np.conj(zj) * grid.nodes))
         grid_norm = lp_norm(kernel, 1.0)
-        quad_norm = kernel_l1_quadrature(r)
+        quad_norm = kernel_l1_quadrature(abs(zj))
         result.add("kernel_l1_grid", j, grid_norm)
         result.add("kernel_l1_quadrature", j, quad_norm)
         result.add("kernel_l1_ratio", j, quad_norm / envelope[j])
 
-    g = model_project(BlaschkeProduct(zeros).sample(grid), log_samples(grid))
-    values = ValueSequence(cauchy_eval(g, zeros.points, tol=1e-2))
+    values = ValueSequence(g_at)
     verdict = log_growth_check(zeros, values)
     result.verdicts.append(verdict)
 
@@ -260,8 +257,6 @@ def exp_sublevel(
     f: BoundaryFunction,
     eps: float = 0.5,
     n_radial: int = 48,
-    n_angular: int = 256,
-    depth: float = 1e-4,
 ) -> ExperimentResult:
     """Compare the sup of |f| over a sublevel set with its boundary sup.
 
@@ -270,23 +265,21 @@ def exp_sublevel(
     space of B the interior sup tracks the boundary sup; the report also
     carries the oscillation norm of conj(B) f for the pairing study.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     start = time.perf_counter()
     result = ExperimentResult(
         name="sublevel",
         parameters={
             "eps": eps,
             "n_radial": n_radial,
-            "n_angular": n_angular,
-            "depth": depth,
+            "n_angular": SUBLEVEL_ANGLES,
+            "depth": SUBLEVEL_DEPTH,
             "grid_log2": f.grid.m,
         },
     )
     product = BlaschkeProduct(zeros)
-    gaps = np.geomspace(0.5, depth, n_radial)
+    gaps = np.geomspace(0.5, SUBLEVEL_DEPTH, n_radial)
     radii = 1.0 - gaps
-    angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    angles = 2.0 * math.pi * np.arange(SUBLEVEL_ANGLES) / SUBLEVEL_ANGLES
     lattice = (radii[:, None] * np.exp(1j * angles[None, :])).reshape(-1)
     mask = sublevel_indicator(product, eps, lattice)
     result.parameters["lattice_points_in_sublevel"] = int(np.count_nonzero(mask))

@@ -17,12 +17,15 @@ import numpy as np
 
 from . import blaschke
 from .blaschke import BlaschkeProduct
-from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, h2_defect, tilde
+from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, _require_h2, tilde
 from .core import DiagnosticsReport, ValueSequence, ZeroSequence
 
 
 # entries per power table in one chunk of cauchy_eval points (2 MB of complex)
 _TABLE_ENTRIES = 1 << 17
+
+# conjugate and Gram solves refuse matrices with a larger condition number
+MAX_CONDITION = 1e12
 
 
 def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
@@ -42,9 +45,7 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     rounding), where the truncated series is meaningless and its powers
     overflow.
     """
-    d = h2_defect(f)
-    if d > tol:
-        raise ValueError(f"cauchy_eval input is not in H2 (defect {d:.3e})")
+    _require_h2(f, "cauchy_eval input", tol)
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     if not np.all(np.abs(flat) <= 1.0 + 4 * np.finfo(float).eps):
@@ -77,8 +78,7 @@ def trace(f, zeros: ZeroSequence) -> ValueSequence:
 
 def conjugate_matrix(zeros: ZeroSequence) -> np.ndarray:
     """Matrix A[k, j] = 1 / (B'(z_j) (1 - z_j conj(z_k)))."""
-    product = BlaschkeProduct(zeros)
-    bp = blaschke.all_derivatives(product)
+    bp = blaschke.all_derivatives(BlaschkeProduct(zeros))
     pts = zeros.points
     return 1.0 / (bp[None, :] * (1.0 - pts[None, :] * np.conj(pts)[:, None]))
 
@@ -90,27 +90,23 @@ def conjugate_sequence(zeros: ZeroSequence, values: ValueSequence) -> ValueSeque
     return ValueSequence(conjugate_matrix(zeros) @ values.values)
 
 
-def _refined_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, max_condition: float):
+def _refined_solve(matrix: np.ndarray, rhs: np.ndarray, what: str):
     # (solution, condition number); refuses a matrix whose condition number
-    # exceeds max_condition.  One step of iterative refinement recovers the
+    # exceeds MAX_CONDITION.  One step of iterative refinement recovers the
     # digits a mildly ill-conditioned solve loses; matrices here are small
     cond = float(np.linalg.cond(matrix))
-    if cond > max_condition:
-        raise ValueError(f"{what} condition {cond:.3e} exceeds {max_condition:g}")
+    if cond > MAX_CONDITION:
+        raise ValueError(f"{what} condition {cond:.3e} exceeds {MAX_CONDITION:g}")
     x = np.linalg.solve(matrix, rhs)
     return x + np.linalg.solve(matrix, rhs - matrix @ x), cond
 
 
-def invert_conjugate(
-    zeros: ZeroSequence,
-    conjugate_values: ValueSequence,
-    max_condition: float = 1e12,
-) -> ValueSequence:
+def invert_conjugate(zeros: ZeroSequence, conjugate_values: ValueSequence) -> ValueSequence:
     """Solve for values whose conjugate sequence matches the target."""
     if len(zeros) != len(conjugate_values):
         raise ValueError("value/zero sequence lengths differ")
     solution, _ = _refined_solve(
-        conjugate_matrix(zeros), conjugate_values.values, "conjugate matrix", max_condition
+        conjugate_matrix(zeros), conjugate_values.values, "conjugate matrix"
     )
     return ValueSequence(solution)
 
@@ -204,22 +200,16 @@ def lagrange_interpolant(
     zeros: ZeroSequence, values: ValueSequence
 ) -> InterpolantRepresentation:
     """Interpolant through the Lagrange-type series over the product."""
-    if len(zeros) != len(values):
-        raise ValueError("value/zero sequence lengths differ")
     return InterpolantRepresentation(zeros, values.values.copy(), "lagrange")
 
 
-def kernel_interpolant(
-    zeros: ZeroSequence,
-    values: ValueSequence,
-    max_condition: float = 1e12,
-) -> InterpolantRepresentation:
+def kernel_interpolant(zeros: ZeroSequence, values: ValueSequence) -> InterpolantRepresentation:
     """Interpolant as a combination of reproducing kernels at the zeros."""
     if len(zeros) != len(values):
         raise ValueError("value/zero sequence lengths differ")
     pts = zeros.points
     gram = 1.0 / (1.0 - np.conj(pts)[None, :] * pts[:, None])
-    coeffs, cond = _refined_solve(gram, values.values, "kernel Gram", max_condition)
+    coeffs, cond = _refined_solve(gram, values.values, "kernel Gram")
     if cond > 1e8:
         warnings.warn(f"kernel Gram matrix is poorly conditioned ({cond:.3e})")
     return InterpolantRepresentation(zeros, coeffs, "kernel_basis", condition=cond)
@@ -237,9 +227,8 @@ def residue_identity_check(
     computation agree.
     """
     grid = BoundaryGrid(m)
-    product = BlaschkeProduct(zeros)
     f = lagrange_interpolant(zeros, values).sample(grid)
-    theta = product.sample(grid)
+    theta = BlaschkeProduct(zeros).sample(grid)
     g = tilde(theta, f)
     lhs = np.conj(cauchy_eval(g, zeros.points))
     rhs = conjugate_sequence(zeros, values).values

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,21 @@ def kernel_combination(grid, points, coeffs):
     coeffs = np.asarray(coeffs, dtype=complex)
     samples = (1.0 / (1.0 - np.conj(points)[None, :] * grid.nodes[:, None])) @ coeffs
     return BoundaryFunction(grid, samples)
+
+
+def transient_peak(fn) -> int:
+    """Bytes allocated at the peak of fn() beyond what was live when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

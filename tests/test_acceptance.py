@@ -117,13 +117,13 @@ def test_criterion_03_single_zero_closed_forms():
     worst_delta = 0.0
     for _ in range(10):
         z1 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        product = BlaschkeProduct(generate_sequence("explicit", points=[z1]))
+        product = BlaschkeProduct(ZeroSequence([z1]))
         worst_delta = max(
             worst_delta, abs(interpolation_delta(product) - 1.0 / (1.0 + abs(z1)))
         )
-    half = BlaschkeProduct(generate_sequence("explicit", points=[0.5]))
+    half = BlaschkeProduct(ZeroSequence([0.5]))
     deriv_err = abs(all_derivatives(half)[0] - (-4.0 / 3.0))
-    origin = generate_sequence("explicit", points=[0])
+    origin = ZeroSequence([0])
     worst_frostman = max(
         abs(frostman_sum(origin, complex(np.exp(1j * t))) - 1.0)
         for t in np.linspace(0.0, 2.0 * np.pi, 37)
@@ -172,7 +172,7 @@ def test_criterion_05_residue_identity(instances):
         rhs = conjugate_sequence(zeros, values).values
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
 
-    hand_zeros = generate_sequence("explicit", points=[0, 0.5])
+    hand_zeros = ZeroSequence([0, 0.5])
     hand_values = ValueSequence([1.0, 0.0])
     hand_rhs = conjugate_sequence(hand_zeros, hand_values).values
     hand_exact = float(np.max(np.abs(hand_rhs - np.array([2.0, 2.0]))))
@@ -204,7 +204,7 @@ def test_criterion_07_value_preservation():
 
     def residual(zeros, f, tol=1e-8):
         theta = _sample_product(zeros, f.grid)
-        g = model_project(theta, f, tol=tol)
+        g = model_project(theta, f)
         got = cauchy_eval(g, zeros.points, tol=1e-2)
         expect = cauchy_eval(f, zeros.points, tol=tol)
         return float(np.max(np.abs(got - expect)))
@@ -223,10 +223,10 @@ def test_criterion_07_value_preservation():
 
     offset_grid = BoundaryGrid(13, offset=0.5)
     phi = log_samples(offset_grid)
-    radial = generate_sequence("radial_geometric", q=0.5, n=8)
+    radial = generate_sequence("rotated_radial", q=0.5, n=8)
     worst = max(worst, residual(radial, phi))
 
-    rank_one = generate_sequence("explicit", points=[0.5])
+    rank_one = ZeroSequence([0.5])
     worst = max(worst, residual(rank_one, phi))
     theta = _sample_product(rank_one, offset_grid)
     g = model_project(theta, phi)
@@ -286,7 +286,7 @@ def test_criterion_08_kernel_norm_asymptotics():
 
 def test_criterion_09_trace_dichotomy():
     start = time.perf_counter()
-    full = generate_sequence("radial_geometric", q=0.5, n=12)
+    full = generate_sequence("rotated_radial", q=0.5, n=12)
     lengths = range(4, 13)
     bounded_maxima = []
     input_maxima = []
@@ -362,7 +362,7 @@ def test_criterion_10_bmo_estimator():
 
 
 def test_criterion_11_oscillation_trend():
-    zeros = generate_sequence("radial_geometric", q=0.7, n=12)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12)
     result = exp_nonduality(zeros, m=12)
     ladder = [(i, v) for lab, i, v in result.series if lab == "coanalytic_bmo"]
     assert [i for i, _ in ladder] == [4, 6, 8, 10, 12]

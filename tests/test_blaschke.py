@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    ZeroSequence,
     all_derivatives,
     blaschke_factor,
     diagnose,
@@ -18,7 +20,7 @@ from modelspace import (
 
 
 def _product(*points):
-    return BlaschkeProduct(generate_sequence("explicit", points=list(points)))
+    return BlaschkeProduct(ZeroSequence(list(points)))
 
 
 def test_factor_examples():
@@ -29,8 +31,8 @@ def test_factor_examples():
 
 
 def test_eval_product_examples():
-    assert _product(0)(0.3) == pytest.approx(0.3, abs=1e-15)
-    assert _product(0.5)(0) == pytest.approx(0.5, abs=1e-15)
+    assert eval_product(_product(0), 0.3) == pytest.approx(0.3, abs=1e-15)
+    assert eval_product(_product(0.5), 0) == pytest.approx(0.5, abs=1e-15)
     grid = np.exp(2j * np.pi * np.arange(512) / 512)
     vals = eval_product(_product(0, 0.5), grid)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
@@ -63,9 +65,9 @@ def test_product_sample_matches_pointwise_evaluation(m, offset, rng):
 
 def test_unimodularity_many_zeros(rng):
     pts = rng.uniform(0.05, 0.93, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
-    product = BlaschkeProduct(generate_sequence("explicit", points=pts))
+    product = BlaschkeProduct(ZeroSequence(pts))
     grid = np.exp(2j * np.pi * np.arange(1024) / 1024)
-    assert np.max(np.abs(np.abs(product(grid)) - 1.0)) < 1e-11
+    assert np.max(np.abs(np.abs(eval_product(product, grid)) - 1.0)) < 1e-11
 
 
 def test_derivative_examples():
@@ -97,7 +99,7 @@ def test_delta_single_zero_closed_form(rng):
 
 
 def test_delta_radial_matches_bruteforce():
-    zeros = generate_sequence("radial_geometric", q=0.5, n=10)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=10)
     product = BlaschkeProduct(zeros)
     # independent route: per-zero python loop over the remaining factors
     best = np.inf
@@ -114,10 +116,10 @@ def test_delta_radial_matches_bruteforce():
 
 
 def test_frostman_sum_examples():
-    origin = generate_sequence("explicit", points=[0])
+    origin = ZeroSequence([0])
     for zeta in (1, -1, 1j, np.exp(0.3j)):
         assert frostman_sum(origin, zeta) == pytest.approx(1.0, abs=1e-12)
-    half = generate_sequence("explicit", points=[0.5])
+    half = ZeroSequence([0.5])
     assert frostman_sum(half, 1) == pytest.approx(1.0, abs=1e-15)
     assert frostman_sum(half, -1) == pytest.approx(1.0 / 3.0, abs=1e-15)
     with pytest.raises(ValueError):
@@ -125,10 +127,10 @@ def test_frostman_sum_examples():
 
 
 def test_frostman_sup_examples():
-    origin = generate_sequence("explicit", points=[0])
+    origin = ZeroSequence([0])
     for grid_size in (16, 64, 1024):
         assert frostman_sup(origin, grid_size) == pytest.approx(1.0, abs=1e-9)
-    half = generate_sequence("explicit", points=[0.5])
+    half = ZeroSequence([0.5])
     assert frostman_sup(half, 1024) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         frostman_sup(half, 8)
@@ -136,7 +138,7 @@ def test_frostman_sup_examples():
 
 def test_frostman_sup_radial_growth():
     # along the ray every term contributes 1 at zeta = 1
-    sups = [frostman_sup(generate_sequence("radial_geometric", q=0.5, n=n), 1024)
+    sups = [frostman_sup(generate_sequence("rotated_radial", q=0.5, n=n), 1024)
             for n in (4, 8, 12)]
     assert sups[0] == pytest.approx(4.0, rel=1e-6)
     assert sups[2] == pytest.approx(12.0, rel=1e-6)
@@ -151,6 +153,16 @@ def test_frostman_sup_grid_refinement_monotone(rng):
         assert a <= b + 1e-9
 
 
+def test_frostman_sup_memory_is_linear_in_grid_size():
+    # M = 2**17 nodes, 48 zeros: eight length-M float arrays (8 MB) bound the
+    # transient peak; a grid-by-zeros distance matrix alone would take 50 MB
+    zeros = generate_sequence("rotated_radial", q=0.8, n=48, angle_step=0.37)
+    grid_size = 1 << 17
+    sup = []
+    assert transient_peak(lambda: sup.append(frostman_sup(zeros, grid_size))) <= 8 * grid_size * 8
+    assert sup[0] >= frostman_sum(zeros, 1.0) - 1e-9
+
+
 def test_sublevel_examples():
     b0 = _product(0)
     assert sublevel_indicator(b0, 0.5, 0.3) is True
@@ -160,17 +172,7 @@ def test_sublevel_examples():
         sublevel_indicator(b0, 1.5, 0.3)
 
 
-def test_tail_bound():
-    product = BlaschkeProduct(generate_sequence("explicit", points=[0.5]), tail_bound=0.01)
-    assert product.truncation_bound(0.0) == pytest.approx(np.expm1(0.02))
-    assert product.truncation_bound(0.5) > product.truncation_bound(0.0)
-    exact = BlaschkeProduct(generate_sequence("explicit", points=[0.5]))
-    assert exact.truncation_bound(0.99) == 0.0
-    with pytest.raises(ValueError):
-        BlaschkeProduct(exact.zeros, tail_bound=-1.0)
-
-
 def test_diagnose_report_keys():
-    report = diagnose(generate_sequence("radial_geometric", q=0.5, n=5), grid_size=512)
+    report = diagnose(generate_sequence("rotated_radial", q=0.5, n=5), grid_size=512)
     assert set(report.scalars) == {"delta", "frostman_sup", "blaschke_sum", "min_separation"}
     assert report.scalars["delta"] > 0

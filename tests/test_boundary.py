@@ -10,9 +10,12 @@ from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    SmoothnessDescriptor,
+    ZeroSequence,
     backward_shift,
     bmo_norm,
     bmo_norm_exhaustive,
+    cauchy_eval,
     generate_sequence,
     h2_defect,
     inner,
@@ -21,6 +24,7 @@ from modelspace import (
     lp_norm,
     membership_defect,
     model_project,
+    projection_decay_report,
     riesz_project,
     tilde,
     toeplitz_coanalytic,
@@ -197,7 +201,7 @@ def test_model_project_examples():
     assert np.max(np.abs(g.samples - 2.0)) < 1e-13
 
     # anything in theta * H2 projects to zero
-    zeros = generate_sequence("explicit", points=[0.5])
+    zeros = ZeroSequence([0.5])
     b = BlaschkeProduct(zeros).sample(grid)
     h = BoundaryFunction.from_callable(grid, lambda z: 1 + z + 0.5 * z ** 3)
     assert lp_norm(model_project(b, b * h), 2) < 1e-13
@@ -400,7 +404,7 @@ def test_toeplitz_examples():
 
 def test_toeplitz_against_convolution_oracle():
     grid = _grid(10)
-    zeros = generate_sequence("explicit", points=[0.5])
+    zeros = ZeroSequence([0.5])
     psi = BlaschkeProduct(zeros).sample(grid)
     f = BoundaryFunction.from_callable(grid, lambda z: 1.0 / (1 - 0.5 * z))
     out = toeplitz_coanalytic(psi, f)
@@ -437,18 +441,71 @@ def test_csv_round_trip(tmp_path):
     assert np.max(np.abs(back.samples - f.samples)) < 1e-15
 
 
-def test_spectrum_dict_round_trip():
-    import json
+@pytest.mark.parametrize("m", [4, 17])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_csv_round_trip_keeps_the_grid(tmp_path, m, offset):
+    from modelspace.boundary import read_csv, write_csv
 
-    from modelspace.boundary import spectrum_dict
+    grid = BoundaryGrid(m, offset)
+    f = BoundaryFunction.from_callable(grid, lambda z: np.log(1.0 - 0.9 * z) + 1j * z ** 3)
+    path = tmp_path / "f.csv"
+    write_csv(f, path)
+    first = [line.split(",")[0] for line in path.read_text().splitlines()]
+    expect = [str(t) for t in range(grid.size)] if offset == 0.0 else [
+        f"{t}.5" for t in range(grid.size)
+    ]
+    assert first == expect
+    back = read_csv(path)
+    assert back.grid == grid
+    assert np.array_equal(back.samples, f.samples)
 
-    grid = _grid(5)
-    f = BoundaryFunction.from_callable(grid, lambda z: 1 + 2j * z + np.conj(z))
-    data = json.loads(json.dumps(spectrum_dict(f)))
-    spec = np.array([complex(re, im) for re, im in data["coefficients"]])
-    assert data["modes"] == [int(n) for n in grid.modes]
-    back = BoundaryFunction.from_spectrum(grid, spec)
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-13
+
+def test_csv_reads_the_integer_column_format(tmp_path):
+    # rows t, re, im with t = 0, 1, ..., as files have always been written
+    from modelspace.boundary import read_csv
+
+    samples = np.exp(2j * np.pi * np.arange(16) / 7) / 3
+    path = tmp_path / "old.csv"
+    rows = (f"{t},{float(s.real)!r},{float(s.imag)!r}\r\n" for t, s in enumerate(samples))
+    path.write_text("".join(rows))
+    back = read_csv(path)
+    assert back.grid == BoundaryGrid(4)
+    assert np.array_equal(back.samples, samples)
+
+
+@pytest.mark.parametrize("positions", [
+    [t + 0.25 for t in range(16)],
+    [1, 0] + list(range(2, 16)),
+    [t + 0.5 for t in range(15)] + [16.5],
+])
+def test_csv_rejects_positions_off_the_grid(tmp_path, positions):
+    from modelspace.boundary import read_csv
+
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(f"{t},1.0,0.0\n" for t in positions))
+    with pytest.raises(ValueError, match="first column"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("site", ["cauchy_eval", "model_project", "backward_shift",
+                                  "toeplitz_coanalytic", "projection_decay_report"])
+def test_every_h2_site_shares_one_guard(site):
+    # z conj on m = 8 has all its energy in mode -1
+    grid = _grid(8)
+    zbar = BoundaryFunction(grid, np.conj(grid.nodes))
+    product = BlaschkeProduct(ZeroSequence([0.5]))
+    theta = product.sample(grid)
+    calls = {
+        "cauchy_eval": lambda: cauchy_eval(zbar, [0.0]),
+        "model_project": lambda: model_project(theta, zbar),
+        "backward_shift": lambda: backward_shift(zbar),
+        "toeplitz_coanalytic": lambda: toeplitz_coanalytic(theta, zbar),
+        "projection_decay_report": lambda: projection_decay_report(
+            product, zbar, SmoothnessDescriptor("bmo")
+        ),
+    }
+    with pytest.raises(ValueError, match="is not in H2 at tolerance"):
+        calls[site]()
 
 
 def test_mismatched_grids_rejected():

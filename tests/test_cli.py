@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from modelspace import (
     ZeroSequence,
     classify_trace,
     conjugate_sequence,
+    exp_dichotomy,
     exp_sublevel,
     generate_sequence,
 )
@@ -20,7 +22,7 @@ from modelspace.cli import main
 
 @pytest.fixture
 def files(tmp_path):
-    zeros = generate_sequence("explicit", points=[0, 0.5])
+    zeros = ZeroSequence([0, 0.5])
     values = ValueSequence([1.0, 0.0])
     zpath = tmp_path / "zeros.json"
     wpath = tmp_path / "values.json"
@@ -80,7 +82,7 @@ def test_classify_cli(files):
         "--class", "lipschitz", "--alpha", "1.0", "--out", str(out),
     ]) == 0
     data = json.loads(out.read_text())
-    expect = classify_trace(zeros, values, SmoothnessDescriptor.lipschitz(1.0))
+    expect = classify_trace(zeros, values, SmoothnessDescriptor("lipschitz", alpha=1.0))
     assert data["satisfied"] == expect.verdict
     assert data["class"] == {"kind": "lipschitz", "alpha": 1.0}
 
@@ -88,9 +90,9 @@ def test_classify_cli(files):
 def test_classify_cli_all_classes(files, tmp_path):
     _, zpath, wpath, zeros, values = files
     for flags, desc in [
-        (["--class", "bmo"], SmoothnessDescriptor.bmo()),
-        (["--class", "gevrey", "--alpha", "0.5"], SmoothnessDescriptor.gevrey(0.5)),
-        (["--class", "sobolev", "--p", "2", "--s", "1"], SmoothnessDescriptor.sobolev(2, 1)),
+        (["--class", "bmo"], SmoothnessDescriptor("bmo")),
+        (["--class", "gevrey", "--alpha", "0.5"], SmoothnessDescriptor("gevrey", alpha=0.5)),
+        (["--class", "sobolev", "--p", "2", "--s", "1"], SmoothnessDescriptor("sobolev", p=2, s=1)),
     ]:
         out = tmp_path / "v.json"
         assert main(["classify", "--zeros", zpath, "--values", wpath,
@@ -219,3 +221,43 @@ def test_sublevel_cli_matches_oracle_kernel_pipeline(tmp_path, n):
     assert [lab for lab, _, _ in data["series"]] == [lab for lab, _, _ in expect.series]
     for (_, _, got), (_, _, want) in zip(data["series"], expect.series):
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+_COMMON = {"-h", "--help", "--zeros", "--radial-q", "--n", "--angle-step", "--out"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("diagnose", set()),
+    ("transform", {"--values"}),
+    ("interpolate", {"--values", "--form", "--boundary-csv"}),
+    ("classify", {"--values", "--class", "--alpha", "--p", "--s"}),
+    ("experiment", {"--name", "--values", "--epsilon", "--density", "--csv"}),
+])
+def test_subcommand_option_surface(capsys, command, extra):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    found = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+    assert found == _COMMON | extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--values", "x"],
+    ["transform"],
+    ["interpolate"],
+    ["classify", "--class", "bmo"],
+])
+def test_values_flag_where_it_belongs(files, argv):
+    _, zpath, _, _, _ = files
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--zeros", zpath, *argv[1:]])
+    assert info.value.code == 2
+
+
+def test_experiment_dichotomy_defaults_to_unit_values(tmp_path):
+    out = tmp_path / "exp.json"
+    assert main(["--grid-log2", "10", "experiment", "--name", "dichotomy",
+                 "--radial-q", "0.5", "--n", "6", "--out", str(out)]) == 0
+    zeros = generate_sequence("rotated_radial", q=0.5, n=6, angle_step=0.0)
+    expect = exp_dichotomy(zeros, ValueSequence(np.ones(6)), m=10)
+    assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]

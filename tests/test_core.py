@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from modelspace import (
-    ETA_MIN,
     SmoothnessDescriptor,
     ValueSequence,
     ZeroSequence,
-    check_disk_point,
     generate_sequence,
     pseudohyperbolic_distance,
 )
@@ -30,14 +28,8 @@ def test_pseudohyperbolic_symmetry_and_origin(rng):
         assert pseudohyperbolic_distance(0, b) == pytest.approx(abs(b), abs=1e-15)
 
 
-def test_check_disk_point_margin():
-    check_disk_point(0.999)
-    with pytest.raises(ValueError):
-        check_disk_point(1.0 - ETA_MIN / 2)
-
-
 def test_radial_geometric_example():
-    zeros = generate_sequence("radial_geometric", q=0.5, n=10)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=10)
     expected = np.array([1 - 2.0 ** -k for k in range(1, 11)])
     assert np.allclose(np.sort(zeros.points.real), expected, atol=1e-15)
     assert len(set(zeros.points.tolist())) == 10
@@ -66,20 +58,20 @@ def test_separated_impossible_request():
 
 
 def test_explicit_single_point():
-    zeros = generate_sequence("explicit", points=[0])
+    zeros = ZeroSequence([0])
     assert len(zeros) == 1
     assert zeros.points[0] == 0
 
 
 def test_generate_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        generate_sequence("radial_geometric", q=1.5, n=4)
+        generate_sequence("rotated_radial", q=1.5, n=4)
     with pytest.raises(ValueError):
-        generate_sequence("radial_geometric", q=0.5, n=40)  # below ETA_MIN
+        generate_sequence("rotated_radial", q=0.5, n=40)  # below ETA_MIN
     with pytest.raises(ValueError):
         generate_sequence("separated", c=1.0, s=0.7, n=4)
     with pytest.raises(ValueError):
-        generate_sequence("explicit", points=[0.2, 0.2])
+        ZeroSequence([0.2, 0.2])
     with pytest.raises(ValueError):
         generate_sequence("no_such_kind")
 
@@ -96,22 +88,22 @@ def test_zero_sequence_invariants():
 
 
 def test_validate_sequence_examples():
-    zeros = generate_sequence("explicit", points=[0])
+    zeros = ZeroSequence([0])
     assert zeros.blaschke_sum() == pytest.approx(1.0, abs=1e-15)
 
-    zeros = generate_sequence("explicit", points=[0.5, -0.5])
+    zeros = ZeroSequence([0.5, -0.5])
     assert zeros.blaschke_sum() == pytest.approx(1.0, abs=1e-15)
     assert zeros.min_separation() == pytest.approx(0.8, abs=1e-15)
 
     for n in (5, 10, 15):
-        zeros = generate_sequence("radial_geometric", q=0.5, n=n)
+        zeros = generate_sequence("rotated_radial", q=0.5, n=n)
         assert zeros.blaschke_sum() == pytest.approx(
             1 - 2.0 ** -n, abs=1e-12
         )
 
 
 def test_truncate_is_prefix():
-    zeros = generate_sequence("radial_geometric", q=0.5, n=8)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=8)
     sub = zeros.truncate(3)
     assert np.array_equal(sub.points, zeros.points[:3])
     with pytest.raises(ValueError):
@@ -126,7 +118,7 @@ def test_value_sequence_validation():
 
 
 def test_ell_p_gamma():
-    zeros = generate_sequence("explicit", points=[0, 0.5])
+    zeros = ZeroSequence([0, 0.5])
     w = ValueSequence([2.0, 1.0])
     # |2|^2 * 1 + |1|^2 * 0.5
     assert w.ell_p_gamma(zeros, 2, 1) == pytest.approx(4.5, abs=1e-15)
@@ -152,18 +144,18 @@ def test_json_round_trips(tmp_path):
 
 
 def test_smoothness_descriptor_validation():
-    SmoothnessDescriptor.lipschitz(1.0)
-    SmoothnessDescriptor.bmo()
-    SmoothnessDescriptor.gevrey(0.5)
-    SmoothnessDescriptor.sobolev(2.0, 1.0)
+    SmoothnessDescriptor("lipschitz", alpha=1.0)
+    SmoothnessDescriptor("bmo")
+    SmoothnessDescriptor("gevrey", alpha=0.5)
+    SmoothnessDescriptor("sobolev", p=2.0, s=1.0)
     with pytest.raises(ValueError):
         SmoothnessDescriptor("lipschitz")
     with pytest.raises(ValueError):
         SmoothnessDescriptor("bmo", alpha=1.0)
     with pytest.raises(ValueError):
-        SmoothnessDescriptor.sobolev(1.0, 1.0)
+        SmoothnessDescriptor("sobolev", p=1.0, s=1.0)
     with pytest.raises(ValueError):
-        SmoothnessDescriptor.sobolev(2.0, -1.0)
+        SmoothnessDescriptor("sobolev", p=2.0, s=-1.0)
     with pytest.raises(ValueError):
         SmoothnessDescriptor("gevrey", alpha=-2.0)
     with pytest.raises(ValueError):

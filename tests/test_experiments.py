@@ -28,7 +28,7 @@ def _series(result, label):
 
 
 def test_nonduality_rank_one_closed_form():
-    zeros = generate_sequence("explicit", points=[0.5])
+    zeros = ZeroSequence([0.5])
     result = exp_nonduality(zeros, m=13)
     residuals = _series(result, "value_preservation_residual")
     assert max(residuals) < 1e-10
@@ -45,7 +45,7 @@ def test_nonduality_rank_one_closed_form():
 
 
 def test_nonduality_radial():
-    zeros = generate_sequence("radial_geometric", q=0.7, n=10)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=10)
     result = exp_nonduality(zeros, m=13)
     assert result.warnings == []
     assert max(_series(result, "value_preservation_residual")) < 1e-7
@@ -58,14 +58,14 @@ def test_nonduality_radial():
 
 
 def test_nonduality_warns_when_underresolved():
-    zeros = generate_sequence("radial_geometric", q=0.5, n=12)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=12)
     with pytest.warns(UserWarning):
         result = exp_nonduality(zeros, m=12)
     assert result.warnings
 
 
 def test_noninterpolation_kernel_norms():
-    zeros = generate_sequence("explicit", points=[0, 0.5, 0.9, 0.99])
+    zeros = ZeroSequence([0, 0.5, 0.9, 0.99])
     result = exp_noninterpolation(zeros, m=13)
     grid_vals = _series(result, "kernel_l1_grid")
     quad_vals = _series(result, "kernel_l1_quadrature")
@@ -81,7 +81,7 @@ def test_noninterpolation_kernel_norms():
 
 
 def test_noninterpolation_trace_verdict_and_trend():
-    zeros = generate_sequence("radial_geometric", q=0.7, n=10)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=10)
     result = exp_noninterpolation(zeros, m=12)
     verdict = result.verdicts[0]
     assert verdict.verdict == "holds"
@@ -90,7 +90,7 @@ def test_noninterpolation_trace_verdict_and_trend():
 
 
 def test_dichotomy_bounded_side():
-    zeros = generate_sequence("radial_geometric", q=0.5, n=10)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=10)
     result = exp_dichotomy(zeros, ValueSequence(np.ones(10)), m=10)
     maxima = _series(result, "max_conjugate_value")[3:]  # N >= 4
     assert max(maxima) <= 2.0 * maxima[0]
@@ -99,7 +99,7 @@ def test_dichotomy_bounded_side():
 
 
 def test_dichotomy_divergent_side():
-    zeros = generate_sequence("radial_geometric", q=0.5, n=12)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=12)
     target = ValueSequence(np.arange(1.0, 13.0))
     values = invert_conjugate(zeros, target)
     result = exp_dichotomy(zeros, values, m=10)
@@ -112,7 +112,7 @@ def test_dichotomy_divergent_side():
 
 
 def test_dichotomy_single_point():
-    zeros = generate_sequence("explicit", points=[0])
+    zeros = ZeroSequence([0])
     w = ValueSequence([3.0 + 1.0j])
     result = exp_dichotomy(zeros, w, m=10)
     assert _series(result, "max_conjugate_value") == pytest.approx([abs(w.values[0])])
@@ -161,7 +161,7 @@ def test_dichotomy_chunked_grid_matches_per_rung(case, rng, monkeypatch):
 
 
 def test_sublevel_constant():
-    zeros = generate_sequence("explicit", points=[0])
+    zeros = ZeroSequence([0])
     grid = BoundaryGrid(10)
     f = BoundaryFunction.constant(grid, 2.0 - 1.0j)
     result = exp_sublevel(zeros, f, eps=0.5)
@@ -172,7 +172,7 @@ def test_sublevel_constant():
 
 
 def test_sublevel_kernel_tracks_boundary():
-    zeros = generate_sequence("explicit", points=[0.5])
+    zeros = ZeroSequence([0.5])
     grid = BoundaryGrid(10)
     f = BoundaryFunction.from_callable(grid, lambda z: 0.75 / (1 - 0.5 * z))
     result = exp_sublevel(zeros, f, eps=0.5)
@@ -188,14 +188,14 @@ def test_sublevel_log_growth_trend():
     phi = log_samples(grid)
     sups = []
     for n in (4, 8, 12):
-        zeros = generate_sequence("radial_geometric", q=0.7, n=n)
+        zeros = generate_sequence("rotated_radial", q=0.7, n=n)
         result = exp_sublevel(zeros, phi, eps=0.5)
         sups.append(_series(result, "sublevel_sup")[0])
     assert sups[0] < sups[1] < sups[2]
 
 
 def test_sublevel_warns_when_lattice_misses():
-    zeros = generate_sequence("explicit", points=[0])
+    zeros = ZeroSequence([0])
     grid = BoundaryGrid(10)
     f = BoundaryFunction.constant(grid, 1.0)
     with pytest.warns(UserWarning):
@@ -215,7 +215,7 @@ def test_log_samples_requires_offset():
 
 
 def test_experiment_determinism_and_export(tmp_path):
-    zeros = generate_sequence("radial_geometric", q=0.7, n=6)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=6)
     a = exp_dichotomy(zeros, ValueSequence(np.ones(6)), m=10)
     b = exp_dichotomy(zeros, ValueSequence(np.ones(6)), m=10)
     assert a.series == b.series

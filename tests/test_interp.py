@@ -1,17 +1,16 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import modelspace.experiments
 import modelspace.interp
-from conftest import kernel_combination, random_zero_sequence
+from conftest import kernel_combination, random_zero_sequence, transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
     ValueSequence,
+    ZeroSequence,
     cauchy_eval,
     conjugate_matrix,
     conjugate_sequence,
@@ -32,7 +31,7 @@ from modelspace.blaschke import all_derivatives
 
 
 def _zeros(*points):
-    return generate_sequence("explicit", points=list(points))
+    return ZeroSequence(list(points))
 
 
 def test_cauchy_eval_examples():
@@ -367,21 +366,6 @@ def test_lagrange_raises_at_reflected_pole():
             f(pole)
 
 
-def _transient_peak(fn) -> int:
-    # bytes allocated at the peak of fn() beyond what was live when it started
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def test_deep_sampling_memory_is_linear_in_grid_size():
     # m = 17, n = 12: eight length-M complex arrays (16 MB) bound each
     # transient peak; an n x M complex array alone would take 24 MB
@@ -390,9 +374,9 @@ def test_deep_sampling_memory_is_linear_in_grid_size():
     bound = 8 * grid.size * 16
     lagrange = lagrange_interpolant(zeros, values)
     kernel = kernel_interpolant(zeros, values)
-    assert _transient_peak(lambda: lagrange.sample(grid)) <= bound
-    assert _transient_peak(lambda: kernel.sample(grid)) <= bound
-    assert _transient_peak(lambda: exp_dichotomy(zeros, values, m=17)) <= bound
+    assert transient_peak(lambda: lagrange.sample(grid)) <= bound
+    assert transient_peak(lambda: kernel.sample(grid)) <= bound
+    assert transient_peak(lambda: exp_dichotomy(zeros, values, m=17)) <= bound
 
 
 def test_interpolant_orthogonal_to_shifted_product(rng):
