@@ -16,6 +16,17 @@ import numpy as np
 from .boundary import BoundaryFunction, BoundaryGrid
 from .core import DiagnosticsReport, ZeroSequence
 
+# points per block of the samplers: a block's complex buffers (256 KB each)
+# stay in L2 while every zero passes over them
+POINT_BLOCK = 1 << 14
+
+
+def _point_blocks(n: int, buffers: int):
+    # (slice, block-length complex buffers) for consecutive blocks of n points
+    bufs = [np.empty(min(n, POINT_BLOCK), dtype=complex) for _ in range(buffers)]
+    for lo in range(0, n, POINT_BLOCK):
+        yield slice(lo, lo + POINT_BLOCK), [buf[: n - lo] for buf in bufs]
+
 
 def _unit(zj: complex) -> complex:
     # normalizing constant |z_j| / z_j, taken as -1 for z_j = 0
@@ -58,15 +69,19 @@ class BlaschkeProduct:
 def eval_product(product: BlaschkeProduct, z):
     """Value of the product at z (scalar or array), |z| <= 1.
 
-    Multiplies the factors in place into one running product, so an array
-    of M points costs three length-M buffers whatever the number of zeros.
+    Takes the points in blocks of POINT_BLOCK and multiplies every factor
+    in place into the block's running product, so the factor and
+    denominator buffers have block length and stay in cache; the output
+    is the only array as long as z.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.ones(z.shape, dtype=complex)
-    fac, den = np.empty_like(out), np.empty_like(out)
-    for zj in product.zeros:
-        out *= _factor_into(zj, z, fac, den)
-    return out if out.shape else complex(out)
+    flat = z.reshape(-1)
+    out = np.ones(flat.size, dtype=complex)
+    for block, (fac, den) in _point_blocks(flat.size, 2):
+        zb, ob = flat[block], out[block]
+        for zj in product.zeros:
+            ob *= _factor_into(zj, zb, fac, den)
+    return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
 def all_derivatives(product: BlaschkeProduct) -> np.ndarray:

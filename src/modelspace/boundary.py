@@ -15,18 +15,33 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 DEFECT_TOL = 1e-8  # relative-energy threshold for "negligible" negative modes
 
 
+@lru_cache(maxsize=8)
+def _grid_tables(m: int, offset: float):
+    # nodes, modes and FFT phase of one (m, offset), built once and shared
+    M = 1 << m
+    t = np.arange(M)
+    nodes = np.exp(2j * np.pi * (t + offset) / M)
+    modes = np.fft.fftfreq(M, 1.0 / M).astype(int)
+    phase = np.exp(-2j * np.pi * modes * offset / M)
+    for arr in (nodes, modes, phase):
+        arr.setflags(write=False)
+    return nodes, modes, phase
+
+
 @dataclass(frozen=True)
 class BoundaryGrid:
     """Uniform circle grid with 2**m nodes exp(2 pi i (t + offset) / M).
 
-    Grids compare equal when m and offset agree.
+    Grids compare equal when m and offset agree, and equal grids share
+    one read-only set of node, mode and phase tables, so building a grid
+    a second time costs no table work.
     """
 
     m: int
@@ -37,13 +52,8 @@ class BoundaryGrid:
             raise ValueError("grid exponent m must be at least 4")
         if self.offset not in (0.0, 0.5):
             raise ValueError("offset must be 0.0 or 0.5 (in node spacings)")
-        M = 1 << self.m
-        t = np.arange(M)
-        nodes = np.exp(2j * np.pi * (t + self.offset) / M)
-        modes = np.fft.fftfreq(M, 1.0 / M).astype(int)
-        phase = np.exp(-2j * np.pi * modes * self.offset / M)
-        for name, arr in (("nodes", nodes), ("modes", modes), ("_phase", phase)):
-            arr.setflags(write=False)
+        tables = _grid_tables(self.m, self.offset)
+        for name, arr in zip(("nodes", "modes", "_phase"), tables):
             object.__setattr__(self, name, arr)
 
     @property
@@ -74,7 +84,9 @@ class BoundaryFunction:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        spec = np.fft.fft(self.samples) / self.grid.size * self.grid._phase
+        spec = np.fft.fft(self.samples)
+        spec /= self.grid.size
+        spec *= self.grid._phase
         spec.setflags(write=False)
         return spec
 
@@ -87,12 +99,9 @@ class BoundaryFunction:
         spec = np.asarray(spectrum, dtype=complex).reshape(-1)
         if spec.size != grid.size:
             raise ValueError("spectrum length does not match the grid size")
-        samples = np.fft.ifft(spec / grid._phase * grid.size)
-        return cls(grid, samples)
-
-    @classmethod
-    def constant(cls, grid: BoundaryGrid, c: complex) -> "BoundaryFunction":
-        return cls(grid, np.full(grid.size, complex(c)))
+        buf = spec / grid._phase  # a new array: the argument is left as it was
+        buf *= grid.size
+        return cls(grid, np.fft.ifft(buf, out=buf))
 
     def coefficient(self, n: int) -> complex:
         M = self.grid.size
@@ -139,14 +148,15 @@ def lp_norm(f: BoundaryFunction, p: float) -> float:
 
 
 def riesz_project(f: BoundaryFunction, sign: str) -> BoundaryFunction:
-    """Mode truncation: '+' keeps modes n >= 0, '-' keeps modes n <= -1."""
-    if sign == "+":
-        keep = f.grid.modes >= 0
-    elif sign == "-":
-        keep = f.grid.modes < 0
-    else:
+    """Mode truncation: '+' keeps modes n >= 0, '-' keeps modes n <= -1.
+
+    In FFT order modes 0 .. M/2 - 1 are the first half of the spectrum.
+    """
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    spec = np.where(keep, f.spectrum, 0.0)
+    half = slice(None, f.grid.size // 2) if sign == "+" else slice(f.grid.size // 2, None)
+    spec = np.zeros(f.grid.size, dtype=complex)
+    spec[half] = f.spectrum[half]
     return BoundaryFunction.from_spectrum(f.grid, spec)
 
 

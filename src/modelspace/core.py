@@ -50,6 +50,8 @@ class ZeroSequence(_JsonFile):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
         if pts.size < 1:
             raise ValueError("a zero sequence needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if np.max(np.abs(pts)) > 1.0 - ETA_MIN:
             raise ValueError("some point violates the circle margin ETA_MIN")
         if np.unique(pts).size != pts.size:

@@ -119,11 +119,12 @@ class InterpolantRepresentation:
                            with c_j the interpolated values themselves.
     form = "kernel_basis": f(z) = sum_j c_j / (1 - conj(z_j) z).
 
-    Evaluation streams over the zeros with a few buffers the size of the
-    point array, so sampling an n-zero interpolant on M nodes takes O(M)
-    memory, not O(n M).  The Lagrange form keeps a running sum and a
-    running product of the factors, never divides by a factor, and so
-    stays exact at the zeros themselves.
+    Evaluation takes the points in blocks of blaschke.POINT_BLOCK and
+    streams over the zeros inside each block, so sampling an n-zero
+    interpolant on M nodes allocates the length-M output and a few
+    block-length buffers that stay in cache, not O(n M).  The Lagrange
+    form keeps a running sum and a running product of the factors, never
+    divides by a factor, and so stays exact at the zeros themselves.
     """
 
     zeros: ZeroSequence
@@ -158,16 +159,18 @@ class InterpolantRepresentation:
 
 
 def _kernel_eval(points: np.ndarray, coeffs: np.ndarray, z):
-    # one kernel per zero added into the output: two length-M buffers
+    # one kernel per zero added into each block of the output; the term
+    # buffer has block length
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     out = np.zeros(flat.size, dtype=complex)
-    term = np.empty_like(out)
-    for zj, cj in zip(points, coeffs):
-        np.multiply(np.conj(zj), flat, out=term)
-        np.subtract(1.0, term, out=term)
-        np.divide(cj, term, out=term)
-        out += term
+    for block, (term,) in blaschke._point_blocks(flat.size, 1):
+        zb, ob = flat[block], out[block]
+        for zj, cj in zip(points, coeffs):
+            np.multiply(np.conj(zj), zb, out=term)
+            np.subtract(1.0, term, out=term)
+            np.divide(cj, term, out=term)
+            ob += term
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
@@ -179,20 +182,23 @@ def _lagrange_eval(zeros: ZeroSequence, values: np.ndarray, z):
     # zero j, total holds the series over the first j + 1 zeros and prefix
     # their product:
     #   total <- total b_j + c_j core_j prefix,   prefix <- prefix b_j,
-    # so no term divides by b_j, and five length-M buffers suffice.
+    # so no term divides by b_j.  Points go in blocks of POINT_BLOCK: the
+    # output is the only length-M array, and the four other buffers have
+    # block length.
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     coeffs = values / blaschke.all_derivatives(BlaschkeProduct(zeros))
     total = np.zeros(flat.size, dtype=complex)
-    prefix = np.ones(flat.size, dtype=complex)
-    fac, den, term = (np.empty_like(total) for _ in range(3))
-    for zj, cj in zip(zeros.points, coeffs):
-        blaschke._factor_into(zj, flat, fac, den)
-        np.divide(-blaschke._unit(zj) * cj, den, out=term)
-        term *= prefix
-        total *= fac
-        total += term
-        prefix *= fac
+    for block, (prefix, fac, den, term) in blaschke._point_blocks(flat.size, 4):
+        zb, tot = flat[block], total[block]
+        prefix.fill(1.0)
+        for zj, cj in zip(zeros.points, coeffs):
+            blaschke._factor_into(zj, zb, fac, den)
+            np.divide(-blaschke._unit(zj) * cj, den, out=term)
+            term *= prefix
+            tot *= fac
+            tot += term
+            prefix *= fac
     return total.reshape(z.shape) if z.shape else complex(total[0])
 
 

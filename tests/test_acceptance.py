@@ -336,7 +336,7 @@ def test_criterion_10_bmo_estimator():
         e = bmo_norm_exhaustive(f)
         worst_factor = max(worst_factor, e / d)
         factor_ok = factor_ok and d <= e + 1e-12 and e <= 2.0 * d
-    const = BoundaryFunction.constant(grid256, 2.0 - 3.0j)
+    const = BoundaryFunction(grid256, np.full(grid256.size, 2.0 - 3.0j))
     const_ok = (
         abs(bmo_norm(const) - abs(2.0 - 3.0j)) < 1e-9
         and abs(bmo_norm_exhaustive(const) - abs(2.0 - 3.0j)) < 1e-9

@@ -161,7 +161,7 @@ def test_verdict_records_rule_inputs():
 
 def test_measure_smoothness_constants():
     grid = BoundaryGrid(8)
-    c = BoundaryFunction.constant(grid, 3.0 + 4.0j)
+    c = BoundaryFunction(grid, np.full(grid.size, 3.0 + 4.0j))
     assert measure_smoothness(c, SmoothnessDescriptor("lipschitz", alpha=0.7)) == 0.0
     assert measure_smoothness(c, SmoothnessDescriptor("sobolev", p=2.0, s=1.0)) == 0.0
     assert measure_smoothness(c, SmoothnessDescriptor("bmo")) == pytest.approx(5.0, abs=1e-12)
@@ -194,7 +194,7 @@ def test_measure_smoothness_lipschitz_zeta():
 
 def test_measure_smoothness_gevrey():
     grid = BoundaryGrid(8)
-    zero = BoundaryFunction.constant(grid, 0.0)
+    zero = BoundaryFunction(grid, np.full(grid.size, 0.0))
     assert measure_smoothness(zero, SmoothnessDescriptor("gevrey", alpha=1.0)) == 0.0
     zeta = BoundaryFunction.from_callable(grid, lambda z: z)
     q = measure_smoothness(zeta, SmoothnessDescriptor("gevrey", alpha=1.0))
@@ -217,7 +217,7 @@ def test_projection_decay_report_single_zero():
     grid = BoundaryGrid(10)
     zeros = ZeroSequence([0.5])
     product = BlaschkeProduct(zeros)
-    one = BoundaryFunction.constant(grid, 1.0)
+    one = BoundaryFunction(grid, np.full(grid.size, 1.0))
     report = projection_decay_report(product, one, SmoothnessDescriptor("bmo"))
     # the co-analytic part of conj(B) drops exactly one coefficient
     assert report.scalars["smoothness"] > 0

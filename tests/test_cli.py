@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +265,17 @@ def test_experiment_dichotomy_defaults_to_unit_values(tmp_path):
     zeros = generate_sequence("rotated_radial", q=0.5, n=6, angle_step=0.0)
     expect = exp_dichotomy(zeros, ValueSequence(np.ones(6)), m=10)
     assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]
+
+
+def test_non_finite_zeros_file_exits_nonzero(tmp_path):
+    # Python's json reads NaN, so the file parses; ZeroSequence must refuse it
+    zpath = tmp_path / "zeros.json"
+    zpath.write_text('{"zeros": [[NaN, 0.0], [0.5, 0.0]]}', encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "modelspace.cli", "diagnose", "--zeros", str(zpath)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode != 0
+    assert "points must be finite" in run.stderr

@@ -87,6 +87,12 @@ def test_zero_sequence_invariants():
         ZeroSequence(np.array([0.1, 0.2]), labels=("only one",))
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.1, np.nan), np.inf, -np.inf])
+def test_zero_sequence_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="points must be finite"):
+        ZeroSequence([bad, 0.5])
+
+
 def test_validate_sequence_examples():
     zeros = ZeroSequence([0])
     assert zeros.blaschke_sum() == pytest.approx(1.0, abs=1e-15)

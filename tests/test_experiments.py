@@ -163,7 +163,7 @@ def test_dichotomy_chunked_grid_matches_per_rung(case, rng, monkeypatch):
 def test_sublevel_constant():
     zeros = ZeroSequence([0])
     grid = BoundaryGrid(10)
-    f = BoundaryFunction.constant(grid, 2.0 - 1.0j)
+    f = BoundaryFunction(grid, np.full(grid.size, 2.0 - 1.0j))
     result = exp_sublevel(zeros, f, eps=0.5)
     sub = _series(result, "sublevel_sup")[0]
     bnd = _series(result, "boundary_sup")[0]
@@ -197,7 +197,7 @@ def test_sublevel_log_growth_trend():
 def test_sublevel_warns_when_lattice_misses():
     zeros = ZeroSequence([0])
     grid = BoundaryGrid(10)
-    f = BoundaryFunction.constant(grid, 1.0)
+    f = BoundaryFunction(grid, np.full(grid.size, 1.0))
     with pytest.warns(UserWarning):
         result = exp_sublevel(zeros, f, eps=1e-6)
     assert result.warnings

@@ -36,7 +36,7 @@ def _zeros(*points):
 
 def test_cauchy_eval_examples():
     grid = BoundaryGrid(12)
-    c = BoundaryFunction.constant(grid, 2.5 - 1j)
+    c = BoundaryFunction(grid, np.full(grid.size, 2.5 - 1j))
     assert cauchy_eval(c, 0.3 + 0.4j) == pytest.approx(2.5 - 1j, abs=1e-12)
 
     z2 = BoundaryFunction.from_callable(grid, lambda z: z ** 2)
@@ -377,6 +377,21 @@ def test_deep_sampling_memory_is_linear_in_grid_size():
     assert transient_peak(lambda: lagrange.sample(grid)) <= bound
     assert transient_peak(lambda: kernel.sample(grid)) <= bound
     assert transient_peak(lambda: exp_dichotomy(zeros, values, m=17)) <= bound
+
+
+def test_blocked_sampling_memory_stays_near_one_output():
+    # m = 17, n = 12: the output is the only length-M array; each sampler's
+    # block buffers add at most 4 * POINT_BLOCK complex values (M / 2 at
+    # m = 17), so 1.75 length-M complex arrays bound each transient peak
+    zeros, values = _deep_instance()
+    grid = BoundaryGrid(17)
+    bound = 1.75 * grid.size * 16
+    lagrange = lagrange_interpolant(zeros, values)
+    kernel = kernel_interpolant(zeros, values)
+    product = BlaschkeProduct(zeros)
+    assert transient_peak(lambda: lagrange.sample(grid)) < bound
+    assert transient_peak(lambda: kernel.sample(grid)) < bound
+    assert transient_peak(lambda: product.sample(grid)) < bound
 
 
 def test_interpolant_orthogonal_to_shifted_product(rng):

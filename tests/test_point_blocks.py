@@ -1,0 +1,187 @@
+"""Blocked samplers, shared grid tables and in-place FFTs, bit for bit.
+
+The samplers take points in blocks of POINT_BLOCK; the streaming forms
+below run the same per-point arithmetic with every buffer as long as the
+point array, and the spectral expressions below allocate a fresh array at
+every step.  Both are kept here as oracles: the library must reproduce
+them exactly, not to a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from modelspace import (
+    BlaschkeProduct,
+    BoundaryFunction,
+    BoundaryGrid,
+    ValueSequence,
+    ZeroSequence,
+    eval_product,
+    generate_sequence,
+    kernel_interpolant,
+    lagrange_interpolant,
+    riesz_project,
+)
+from modelspace.blaschke import POINT_BLOCK, _factor_into, _unit, all_derivatives
+
+
+def _streaming_product(product, z):
+    z = np.asarray(z, dtype=complex)
+    out = np.ones(z.shape, dtype=complex)
+    fac, den = np.empty_like(out), np.empty_like(out)
+    for zj in product.zeros:
+        out *= _factor_into(zj, z, fac, den)
+    return out if out.shape else complex(out)
+
+
+def _streaming_kernel(points, coeffs, z):
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = np.zeros(flat.size, dtype=complex)
+    term = np.empty_like(out)
+    for zj, cj in zip(points, coeffs):
+        np.multiply(np.conj(zj), flat, out=term)
+        np.subtract(1.0, term, out=term)
+        np.divide(cj, term, out=term)
+        out += term
+    return out.reshape(z.shape) if z.shape else complex(out[0])
+
+
+def _streaming_lagrange(zeros, values, z):
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    coeffs = values / all_derivatives(BlaschkeProduct(zeros))
+    total = np.zeros(flat.size, dtype=complex)
+    prefix = np.ones(flat.size, dtype=complex)
+    fac, den, term = (np.empty_like(total) for _ in range(3))
+    for zj, cj in zip(zeros.points, coeffs):
+        _factor_into(zj, flat, fac, den)
+        np.divide(-_unit(zj) * cj, den, out=term)
+        term *= prefix
+        total *= fac
+        total += term
+        prefix *= fac
+    return total.reshape(z.shape) if z.shape else complex(total[0])
+
+
+def _old_spectrum(f):
+    return np.fft.fft(f.samples) / f.grid.size * f.grid._phase
+
+
+def _old_from_spectrum(grid, spec):
+    return np.fft.ifft(spec / grid._phase * grid.size)
+
+
+def _old_riesz(f, sign):
+    keep = f.grid.modes >= 0 if sign == "+" else f.grid.modes < 0
+    return _old_from_spectrum(f.grid, np.where(keep, _old_spectrum(f), 0.0))
+
+
+def _instance(seed=0):
+    rng = np.random.default_rng(seed)
+    zeros = generate_sequence("rotated_radial", q=0.5, n=12, angle_step=0.2)
+    return zeros, ValueSequence(rng.normal(size=12) + 1j * rng.normal(size=12))
+
+
+def _interior(rng, size):
+    r = np.sqrt(rng.uniform(0.0, 0.999**2, size))
+    return r * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+def _assert_samplers_bitwise(zeros, values, z):
+    kernel = kernel_interpolant(zeros, values)
+    pairs = (
+        (eval_product(BlaschkeProduct(zeros), z), _streaming_product(BlaschkeProduct(zeros), z)),
+        (lagrange_interpolant(zeros, values)(z), _streaming_lagrange(zeros, values.values, z)),
+        (kernel(z), _streaming_kernel(zeros.points, kernel.coefficients, z)),
+    )
+    for got, expected in pairs:
+        assert np.shape(got) == np.shape(expected)
+        assert type(got) is type(expected)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("m", [4, 12, 17])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_blocked_samplers_match_streaming_on_grids(m, offset):
+    zeros, values = _instance(m)
+    grid = BoundaryGrid(m, offset)
+    _assert_samplers_bitwise(zeros, values, grid.nodes)
+    assert np.array_equal(BlaschkeProduct(zeros).sample(grid).samples,
+                          _streaming_product(BlaschkeProduct(zeros), grid.nodes))
+
+
+@pytest.mark.parametrize("size", [2001, 2 * POINT_BLOCK + 2001])
+def test_blocked_samplers_match_streaming_off_block_sizes(rng, size):
+    zeros, values = _instance()
+    inside = _interior(rng, size)
+    _assert_samplers_bitwise(zeros, values, inside)
+    _assert_samplers_bitwise(zeros, values, inside[:2001].reshape(3, 667))
+    _assert_samplers_bitwise(zeros, values, complex(inside[0]))
+    _assert_samplers_bitwise(zeros, values, np.empty(0, dtype=complex))
+
+
+def test_blocked_lagrange_exact_at_zeros_in_every_block(rng):
+    zeros, values = _instance()
+    z = _interior(rng, 2 * POINT_BLOCK + 2001)
+    slots = np.linspace(0, z.size - 1, len(zeros)).astype(int)  # zeros in all three blocks
+    z[slots] = zeros.points
+    _assert_samplers_bitwise(zeros, values, z)
+    at_zeros = lagrange_interpolant(zeros, values)(z)[slots]
+    assert np.max(np.abs(at_zeros - values.values)) <= 1e-12 * np.max(np.abs(values.values))
+
+
+@pytest.mark.parametrize("index", [3, POINT_BLOCK + 7, 2 * POINT_BLOCK + 4])
+def test_reflected_pole_raises_in_any_block(rng, index):
+    # 1 - conj(0.5) 2 is exactly 0; the pole sits in the first, second or last block
+    zeros = ZeroSequence([0.5, 0.25j])
+    f = lagrange_interpolant(zeros, ValueSequence([1.0, 2.0j]))
+    z = _interior(rng, 2 * POINT_BLOCK + 5)
+    z[index] = 2.0
+    with pytest.raises(ZeroDivisionError):
+        eval_product(BlaschkeProduct(zeros), z)
+    with pytest.raises(ZeroDivisionError):
+        f(z)
+
+
+@pytest.mark.parametrize("m", [4, 12, 17])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_spectral_routes_match_fresh_array_expressions(m, offset):
+    grid = BoundaryGrid(m, offset)
+    f = BlaschkeProduct(_instance()[0]).sample(grid) * 0.5 + BoundaryFunction.from_callable(
+        grid, lambda z: np.conj(z) ** 3
+    )
+    assert np.array_equal(f.spectrum, _old_spectrum(f))
+    assert np.array_equal(BoundaryFunction.from_spectrum(grid, f.spectrum).samples,
+                          _old_from_spectrum(grid, f.spectrum))
+    for sign in ("+", "-"):
+        assert np.array_equal(riesz_project(f, sign).samples, _old_riesz(f, sign))
+
+
+def test_from_spectrum_leaves_its_argument_unchanged(rng):
+    grid = BoundaryGrid(10, 0.5)
+    spec = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    kept = spec.copy()
+    g = BoundaryFunction.from_spectrum(grid, spec)
+    assert np.array_equal(spec, kept)
+    assert spec.flags.writeable
+    assert not np.shares_memory(g.samples, spec)
+
+
+def test_equal_grids_share_read_only_tables():
+    a, b, c = BoundaryGrid(17), BoundaryGrid(17), BoundaryGrid(17, 0.5)
+    assert a == b and a != c
+    for name in ("nodes", "modes", "_phase"):
+        arr = getattr(a, name)
+        assert arr is getattr(b, name)
+        assert arr is not getattr(c, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the shared tables are the ones the grid formula gives
+    for grid in (a, c):
+        M, t = grid.size, np.arange(grid.size)
+        modes = np.fft.fftfreq(M, 1.0 / M).astype(int)
+        assert np.array_equal(grid.nodes, np.exp(2j * np.pi * (t + grid.offset) / M))
+        assert np.array_equal(grid.modes, modes)
+        assert np.array_equal(grid._phase, np.exp(-2j * np.pi * modes * grid.offset / M))
