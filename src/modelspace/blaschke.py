@@ -19,6 +19,7 @@ from .core import DiagnosticsReport, ZeroSequence
 # points per block of the samplers: a block's complex buffers (256 KB each)
 # stay in L2 while every zero passes over them
 POINT_BLOCK = 1 << 14
+GOLDEN_ITERS = 80  # golden-section steps of the frostman_sup refinement
 
 
 def _point_blocks(n: int, buffers: int):
@@ -114,13 +115,13 @@ def frostman_sum(zeros: ZeroSequence, zeta: complex) -> float:
     return float(np.sum((1.0 - zeros.moduli) / dist))
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 80) -> float:
+def _golden_max(fun, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

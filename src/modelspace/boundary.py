@@ -20,6 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 DEFECT_TOL = 1e-8  # relative-energy threshold for "negligible" negative modes
+UNIMODULAR_TOL = 1e-8  # largest ||theta| - 1| accepted on the grid
+_ARC_CHUNK = 1024  # offsets per block of the all-offsets oscillation scan
 
 
 @lru_cache(maxsize=8)
@@ -185,9 +187,9 @@ def backward_shift(f: BoundaryFunction) -> BoundaryFunction:
     return BoundaryFunction.from_spectrum(f.grid, spec)
 
 
-def _require_unimodular(theta: BoundaryFunction, tol: float = 1e-8) -> None:
+def _require_unimodular(theta: BoundaryFunction) -> None:
     dev = float(np.max(np.abs(np.abs(theta.samples) - 1.0)))
-    if dev > tol:
+    if dev > UNIMODULAR_TOL:
         raise ValueError(f"theta is not unimodular on the grid (deviation {dev:.3e})")
 
 
@@ -240,14 +242,14 @@ def toeplitz_coanalytic(psi: BoundaryFunction, f: BoundaryFunction) -> BoundaryF
 # mean oscillation
 
 
-def _arc_oscillation_max(samples: np.ndarray, length: int, chunk: int = 1024) -> float:
+def _arc_oscillation_max(samples: np.ndarray, length: int) -> float:
     # max over all offsets of the mean absolute deviation on arcs of a length
     M = samples.size
     ext = np.concatenate([samples, samples[: length - 1]])
     win = np.lib.stride_tricks.sliding_window_view(ext, length)
     best = 0.0
-    for lo in range(0, M, chunk):
-        w = win[lo : lo + chunk]
+    for lo in range(0, M, _ARC_CHUNK):
+        w = win[lo : lo + _ARC_CHUNK]
         mu = w.mean(axis=1)
         dev = np.abs(w - mu[:, None]).mean(axis=1)
         best = max(best, float(dev.max()))
@@ -280,12 +282,12 @@ def bmo_norm(f: BoundaryFunction) -> float:
     the mean absolute deviation of every dyadic arc.  By Cauchy-Schwarz an
     arc's mean absolute deviation is at most its RMS deviation, which
     prefix sums of the centred samples c = s - mean(s) give for every arc
-    in O(1).  Each arc's variance gets a rounding slack of
-    16 eps (sum of |c|^2 over the doubled array / L + mean |c|^2) before
-    the square root, so the bound stays above the deviation under
-    cancellation.  Arcs of all lengths are evaluated exactly, largest
-    bound first in batches of 1, 2, 4, ..., against one running maximum;
-    the scan stops once no unvisited bound exceeds that maximum.
+    in O(1); a rounding slack of 16 eps (sum of |c|^2 over the doubled
+    array / L + mean |c|^2) on each variance keeps the bound above the
+    deviation under cancellation.  The running maximum starts at the exact
+    deviation of the arc with the largest bound; one pass over the lengths
+    then evaluates only the offsets whose bound exceeds it.  A skipped
+    arc's deviation is at most its bound, hence at most the result.
     """
     s = f.samples
     M = s.size
@@ -301,18 +303,11 @@ def bmo_norm(f: BoundaryFunction) -> float:
         var = (p2[length : length + M] - p2[:M]) / length - (mu.real**2 + mu.imag**2)
         slack = 16 * np.finfo(float).eps * (p2[-1] / length + p2[M] / M)
         np.sqrt(np.maximum(var, 0.0) + slack, out=row)
-    bound = bound.ravel()
-    best, batch = 0.0, 1
-    while True:
-        top = np.argpartition(bound, -batch)[-batch:]
-        top = top[bound[top] > best]
-        if top.size == 0:
-            return abs(mean) + best
-        bound[top] = -np.inf  # visited
-        rows, offsets = np.divmod(top, M)
-        for r in np.unique(rows):
-            best = max(best, _arc_oscillation_at(ext, int(lengths[r]), offsets[rows == r]))
-        batch = min(2 * batch, bound.size)
+    top, offset = divmod(int(bound.argmax()), M)
+    best = _arc_oscillation_at(ext, int(lengths[top]), np.array([offset]))
+    for row, length in zip(bound, lengths):
+        best = max(best, _arc_oscillation_at(ext, int(length), np.flatnonzero(row > best)))
+    return abs(mean) + best
 
 
 def bmo_norm_exhaustive(f: BoundaryFunction) -> float:
@@ -349,7 +344,7 @@ def read_csv(path) -> BoundaryFunction:
     """Rebuild a BoundaryFunction from write_csv output, on the grid it names.
 
     The offset is read from the first column, which must be exactly t or
-    exactly t + 0.5 for t = 0, ..., M - 1.
+    exactly t + 0.5 for t = 0, ..., M - 1.  Every sample must be finite.
     """
     positions, rows = [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -362,4 +357,6 @@ def read_csv(path) -> BoundaryFunction:
     offset = positions[0]
     if offset not in (0.0, 0.5) or not np.array_equal(positions, np.arange(len(rows)) + offset):
         raise ValueError("first column must be t or t + 0.5 for t = 0, 1, ..., M - 1")
+    if not np.isfinite(rows).all():
+        raise ValueError("samples must be finite")
     return BoundaryFunction(BoundaryGrid(m, offset), np.array(rows))

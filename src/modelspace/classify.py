@@ -25,6 +25,7 @@ RATIO_SPREAD = 10.0      # "holds" needs window max/median at most this
 GROWTH_FACTOR = 1.5      # "fails" needs this much growth per index ...
 MIN_RUN = 4              # ... across a terminal run of at least this many
 GEVREY_FLOOR = 1e-3      # "holds" floor for the fitted Gevrey constant
+GEVREY_MAX_ORDER = 20    # highest derivative order in the Gevrey fit
 
 
 @dataclass
@@ -66,12 +67,12 @@ def _boundary_order(zeros: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
     return order, gaps[order]
 
 
-def _terminal_geometric_run(win: np.ndarray, factor: float, decay: bool = False) -> int:
-    """Length of the terminal run moving by >= factor per step.
+def _terminal_geometric_run(win: np.ndarray, decay: bool = False) -> int:
+    """Length of the terminal run moving by >= GROWTH_FACTOR per step.
 
     Counts values in the longest run ending at the last index whose
-    consecutive ratios grow (or, with decay=True, shrink) by at least the
-    stated factor per step.
+    consecutive ratios grow (or, with decay=True, shrink) by at least
+    GROWTH_FACTOR per step.
     """
     count = 1
     for i in range(win.size - 1, 0, -1):
@@ -79,7 +80,7 @@ def _terminal_geometric_run(win: np.ndarray, factor: float, decay: bool = False)
         if not (np.isfinite(a) and np.isfinite(b)) or a <= 0 or b <= 0:
             break
         step = a / b if decay else b / a
-        if step >= factor:
+        if step >= GROWTH_FACTOR:
             count += 1
         else:
             break
@@ -107,7 +108,7 @@ def _decide_bounded(ratios_ordered: np.ndarray, window_start: int) -> tuple[str,
     finite = win[np.isfinite(win)]
     if finite.size == 0:
         return "inconclusive", rule
-    if _terminal_geometric_run(win, GROWTH_FACTOR) >= MIN_RUN:
+    if _terminal_geometric_run(win) >= MIN_RUN:
         return "fails", rule
     med = float(np.median(finite))
     if med > 0 and float(finite.max()) / med <= RATIO_SPREAD:
@@ -131,7 +132,7 @@ def _decide_lower_bounded(ratios_ordered: np.ndarray, window_start: int) -> tupl
         return "holds", rule
     if low <= 0:
         return "fails", rule
-    if _terminal_geometric_run(win, GROWTH_FACTOR, decay=True) >= MIN_RUN:
+    if _terminal_geometric_run(win, decay=True) >= MIN_RUN:
         return "fails", rule
     return "inconclusive", rule
 
@@ -230,11 +231,11 @@ def _spectral_derivative_sup(f: BoundaryFunction, k: int) -> float:
     return lp_norm(g, math.inf)
 
 
-def _gevrey_constant(f: BoundaryFunction, alpha: float, k_max: int = 20) -> float:
+def _gevrey_constant(f: BoundaryFunction, alpha: float) -> float:
     # smallest Q consistent with sup |f^(k)| <= Q**(k+1) (k!)**(1 + 1/alpha),
     # estimated in log space to dodge overflow; derivative order capped
     best = math.inf
-    for k in range(k_max + 1):
+    for k in range(GEVREY_MAX_ORDER + 1):
         sup = _spectral_derivative_sup(f, k)
         if sup == 0.0:
             return 0.0

@@ -154,10 +154,10 @@ class SmoothnessDescriptor:
 
     kind        parameters
     ----        ----------
-    lipschitz   alpha > 0
+    lipschitz   finite alpha > 0
     bmo         none
-    gevrey      alpha > 0
-    sobolev     p in (1, inf), s > 0
+    gevrey      finite alpha > 0
+    sobolev     p in (1, inf), finite s > 0
     """
 
     kind: str
@@ -169,8 +169,8 @@ class SmoothnessDescriptor:
         if self.kind not in _DESCRIPTOR_KINDS:
             raise ValueError(f"unknown smoothness kind {self.kind!r}")
         if self.kind in ("lipschitz", "gevrey"):
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError(f"{self.kind} requires alpha > 0")
+            if self.alpha is None or not 0.0 < self.alpha < math.inf:
+                raise ValueError(f"{self.kind} requires finite alpha > 0")
             if self.p is not None or self.s is not None:
                 raise ValueError(f"{self.kind} takes no (p, s) parameters")
         elif self.kind == "bmo":
@@ -181,8 +181,8 @@ class SmoothnessDescriptor:
                 raise ValueError("sobolev takes no alpha")
             if self.p is None or not 1.0 < self.p < math.inf:
                 raise ValueError("sobolev requires p in (1, inf)")
-            if self.s is None or self.s <= 0:
-                raise ValueError("sobolev requires s > 0")
+            if self.s is None or not 0.0 < self.s < math.inf:
+                raise ValueError("sobolev requires finite s > 0")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

@@ -331,6 +331,10 @@ def _oracle_inputs():
     spike[321] += 1e3
     cases["spike_1e3"] = lambda: BoundaryFunction(grid10, spike)
     cases["constant"] = lambda: BoundaryFunction(grid10, np.full(grid10.size, 2.0 - 3.0j))
+    # MAD equals RMS on nearly every arc, so nearly every arc survives the bound
+    t = np.arange(grid10.size)
+    cases["two_valued_1e8"] = lambda: BoundaryFunction(grid10, 1e8 + 1e-3 * (-1.0) ** t)
+    cases["period4_1e8"] = lambda: BoundaryFunction(grid10, 1e8 + 1e-3 * 1j ** t)
     cases["log_half_offset"] = lambda: BoundaryFunction.from_callable(
         BoundaryGrid(10, offset=0.5), lambda z: np.log(np.abs(1.0 - z))
     )
@@ -347,6 +351,25 @@ def test_bmo_pruned_matches_dyadic_scan(name):
     assert abs(bmo_norm(f) - expected) <= 1e-12 * expected
     if name == "constant":
         assert bmo_norm(f) == abs(2.0 - 3.0j)
+
+
+@pytest.mark.parametrize("angle_step", [0.0, 0.13, 0.37, 0.5])
+@pytest.mark.parametrize("n", [4, 12])
+def test_bmo_evaluates_few_arcs(monkeypatch, angle_step, n):
+    # the seeded scan evaluates exactly at most 1% of the 11 * 4096 dyadic arcs
+    from modelspace import boundary
+
+    f = _coanalytic_rung(angle_step, n)
+    evaluated = []
+    exact = boundary._arc_oscillation_at
+
+    def counting(ext, length, offsets):
+        evaluated.append(offsets.size)
+        return exact(ext, length, offsets)
+
+    monkeypatch.setattr(boundary, "_arc_oscillation_at", counting)
+    bmo_norm(f)
+    assert 0 < sum(evaluated) <= 0.01 * 11 * 4096
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -485,6 +508,18 @@ def test_csv_rejects_positions_off_the_grid(tmp_path, positions):
     path = tmp_path / "bad.csv"
     path.write_text("".join(f"{t},1.0,0.0\n" for t in positions))
     with pytest.raises(ValueError, match="first column"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan,0.0", "0.0,inf", "-inf,1.0"])
+def test_csv_rejects_non_finite_samples(tmp_path, bad):
+    from modelspace.boundary import read_csv
+
+    path = tmp_path / "bad.csv"
+    rows = [f"{t},1.0,0.0\n" for t in range(16)]
+    rows[3] = f"3,{bad}\n"
+    path.write_text("".join(rows))
+    with pytest.raises(ValueError, match="samples must be finite"):
         read_csv(path)
 
 

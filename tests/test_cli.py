@@ -117,6 +117,10 @@ def test_classify_cli_requires_parameters(files):
     ["--class", "bmo", "--alpha", "1"],
     ["--class", "sobolev", "--p", "0.5", "--s", "1"],
     ["--class", "lipschitz", "--alpha", "-1"],
+    ["--class", "lipschitz", "--alpha", "nan"],
+    ["--class", "lipschitz", "--alpha", "inf"],
+    ["--class", "gevrey", "--alpha", "inf"],
+    ["--class", "sobolev", "--p", "2", "--s", "nan"],
 ])
 def test_classify_cli_rejects_malformed_parameters(files, flags):
     _, zpath, wpath, _, _ = files

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,3 +167,17 @@ def test_smoothness_descriptor_validation():
         SmoothnessDescriptor("gevrey", alpha=-2.0)
     with pytest.raises(ValueError):
         SmoothnessDescriptor("weird")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("lipschitz", {"alpha": math.nan}),
+    ("lipschitz", {"alpha": math.inf}),
+    ("gevrey", {"alpha": math.nan}),
+    ("gevrey", {"alpha": math.inf}),
+    ("sobolev", {"p": 2.0, "s": math.nan}),
+    ("sobolev", {"p": 2.0, "s": math.inf}),
+    ("sobolev", {"p": math.nan, "s": 1.0}),
+])
+def test_smoothness_descriptor_rejects_non_finite_parameters(kind, params):
+    with pytest.raises(ValueError, match="requires"):
+        SmoothnessDescriptor(kind, **params)
