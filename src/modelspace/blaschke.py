@@ -38,7 +38,7 @@ def _factor_into(zj: complex, z: np.ndarray, out: np.ndarray, den: np.ndarray) -
     # b_j(z) into out and 1 - conj(z_j) z into den, both preallocated like z
     np.multiply(np.conj(zj), z, out=den)
     np.subtract(1.0, den, out=den)
-    if np.any(den == 0):
+    if not np.all(den):  # a complex value is falsy only at +-0 in both parts; NaN passes
         raise ZeroDivisionError("evaluation point is the reflected pole of the factor")
     np.subtract(zj, z, out=out)
     np.multiply(_unit(zj), out, out=out)

@@ -258,15 +258,18 @@ def _arc_oscillation_max(samples: np.ndarray, length: int) -> float:
 
 def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> float:
     # max mean absolute deviation on the arcs of one length starting at the
-    # offsets; the same expression as _arc_oscillation_max, in bounded chunks
+    # offsets; the same expression as _arc_oscillation_max, in chunks of at
+    # most 2^16 entries (1 MB) that stay in L2, each gathered copy centred in
+    # place (the same w - mu operands, so the same deviations)
+    if not offsets.size:
+        return 0.0
     win = np.lib.stride_tricks.sliding_window_view(ext, length)
-    step = max(1, (1 << 18) // length)
+    step = max(1, (1 << 16) // length)
     best = 0.0
     for lo in range(0, offsets.size, step):
         w = win[offsets[lo : lo + step]]
-        mu = w.mean(axis=1)
-        dev = np.abs(w - mu[:, None]).mean(axis=1)
-        best = max(best, float(dev.max()))
+        w -= w.mean(axis=1)[:, None]
+        best = max(best, float(np.abs(w).mean(axis=1).max()))
     return best
 
 

@@ -50,6 +50,18 @@ def test_eval_product_raises_at_reflected_pole():
         blaschke_factor(0.5, 2.0)
 
 
+def test_eval_product_passes_nan_points_through():
+    # NaN is no pole: its value is NaN (numpy warns of the invalid division)
+    # and the other points are unaffected
+    product = _product(0.5, 0.25j)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(eval_product(product, complex(np.nan)))
+        assert np.isnan(blaschke_factor(0.5, complex(np.nan, 0.3)))
+        vals = eval_product(product, np.array([0.3, np.nan, 0.1j]))
+    assert np.isnan(vals[1])
+    assert np.array_equal(vals[[0, 2]], eval_product(product, np.array([0.3, 0.1j])))
+
+
 @pytest.mark.parametrize("m, offset", [(4, 0.0), (10, 0.5), (15, 0.0)])
 def test_product_sample_matches_pointwise_evaluation(m, offset, rng):
     grid = BoundaryGrid(m, offset)

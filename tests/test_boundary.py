@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import kernel_combination, random_zero_sequence
+from conftest import kernel_combination, random_zero_sequence, transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -16,6 +16,7 @@ from modelspace import (
     bmo_norm,
     bmo_norm_exhaustive,
     cauchy_eval,
+    exp_noninterpolation,
     generate_sequence,
     h2_defect,
     inner,
@@ -29,7 +30,7 @@ from modelspace import (
     tilde,
     toeplitz_coanalytic,
 )
-from modelspace.boundary import _arc_oscillation_max
+from modelspace.boundary import _arc_oscillation_at, _arc_oscillation_max
 
 
 def _grid(m=8, offset=0.0):
@@ -386,6 +387,73 @@ def test_bmo_pruned_matches_dyadic_scan_property(data, m, offset, amplitude):
     f = BoundaryFunction(BoundaryGrid(m), offset + amplitude * (re + 1j * im))
     expected = _dyadic_scan(f)
     assert abs(bmo_norm(f) - expected) <= 1e-12 * expected
+
+
+def test_bmo_rms_bound_keeps_its_rounding_slack():
+    # MAD equals RMS on every arc of 1 + i^t, so rounding decides which arc
+    # is largest: without the slack the bound skips it and gives 2.0000000000000004
+    t = np.arange(1 << 10)
+    f = BoundaryFunction(BoundaryGrid(10), 1.0 + 1j**t)
+    assert bmo_norm(f) == _dyadic_scan(f) == 2.000000000000001
+
+
+def _arc_oscillation_at_unchunked(ext, length, offsets):
+    # the form before cache-sized chunks: 2^18-entry chunks, fresh temporaries
+    win = np.lib.stride_tricks.sliding_window_view(ext, length)
+    step = max(1, (1 << 18) // length)
+    best = 0.0
+    for lo in range(0, offsets.size, step):
+        w = win[offsets[lo : lo + step]]
+        mu = w.mean(axis=1)
+        dev = np.abs(w - mu[:, None]).mean(axis=1)
+        best = max(best, float(dev.max()))
+    return best
+
+
+@pytest.mark.parametrize("name", ["normal_m12", "offset_1e8_noise_1e-3"])
+def test_arc_oscillation_chunks_bit_identical_to_unchunked_form(name):
+    s = _ORACLE_INPUTS[name]().samples
+    ext = np.concatenate([s, s])
+    rng = np.random.default_rng(10)
+    for k in range(2, 13):
+        length = 1 << k
+        step = max(1, (1 << 16) // length)
+        for count in (0, 1, step - 1, step, step + 1, 3 * step + 5):
+            offsets = rng.integers(0, s.size, size=count)
+            expected = _arc_oscillation_at_unchunked(ext, length, offsets)
+            assert _arc_oscillation_at(ext, length, offsets) == expected
+
+
+def _noninterpolation_bmo_inputs(angle_step):
+    # the interpolant samples exp_noninterpolation hands to bmo_norm on the
+    # perfbench trend input: q = 0.7, n = 12 radial zeros, the CLI's m = 12
+    from modelspace import experiments
+
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "bmo_norm", lambda f: captured.append(f) or 0.0)
+        zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=angle_step)
+        exp_noninterpolation(zeros, m=12)
+    return captured
+
+
+@pytest.mark.parametrize("angle_step", [0.13, 0.45])
+def test_bmo_bit_identical_to_unchunked_form(monkeypatch, angle_step):
+    from modelspace import boundary
+
+    inputs = _noninterpolation_bmo_inputs(angle_step)
+    assert len(inputs) == 5
+    values = [bmo_norm(f) for f in inputs]
+    monkeypatch.setattr(boundary, "_arc_oscillation_at", _arc_oscillation_at_unchunked)
+    assert values == [bmo_norm(f) for f in inputs]
+
+
+def test_bmo_transient_memory_is_cache_sized():
+    # the n = 12 interpolant at angle step 0.45 keeps hundreds of arcs of
+    # length M/4 and M/2 above the bound; 2^18-entry chunks peaked at 10.9 MB
+    f = _noninterpolation_bmo_inputs(0.45)[-1]
+    assert f.grid.m == 12
+    assert transient_peak(lambda: bmo_norm(f)) <= 4 << 20
 
 
 def test_membership_defect_examples():
