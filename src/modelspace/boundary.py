@@ -12,7 +12,6 @@ same thing regardless of offset.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -273,6 +272,48 @@ def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> fl
     return best
 
 
+def _sub_arc_bound(
+    p1: np.ndarray, p2: np.ndarray, length: int, offsets: np.ndarray
+) -> np.ndarray:
+    # bmo_norm's second bound on the arcs of one length starting at the
+    # offsets.  Each arc is split into k = min(32, L/4) sub-arcs of length
+    # l = L/k, whose sums S_i and Q_i of c and |c|^2 are differences of the
+    # prefix sums p1 and p2.  With m_i = S_i/l and the arc mean mu, Jensen on
+    # each sub-arc gives MAD <= (1/k) sum_i sqrt(T_i), where
+    # T_i = Q_i/l - |m_i|^2 + |m_i - mu|^2.
+    # Slack: Q_i/l is a difference of two p2 values over l, so it is off by a
+    # few ulps of p2[-1]/l, the way the RMS variance is off by a few ulps of
+    # p2[-1]/L.  |m_i|^2 <= Q_i/l and |m_i - mu|^2 <= 2 Q_i/l + 2 |mu|^2 are off
+    # by a few ulps of their bounds, and the centring term p2[M]/M = mean |c|^2
+    # carries over.  So each T_i gets the RMS slack with l for L plus a term
+    # in |mu|^2: 16 eps (p2[-1]/l + p2[M]/M + |mu|^2).
+    # The (offsets x (k + 1)) prefix entries are gathered in chunks of at
+    # most 2^16, the chunk size of _arc_oscillation_at.
+    k = min(32, length // 4)
+    sub = length // k
+    M = (p2.size - 1) // 2
+    span = sub * np.arange(k + 1)
+    eps = np.finfo(float).eps
+    out = np.empty(offsets.size)
+    step = max(1, (1 << 16) // (k + 1))
+    for lo in range(0, offsets.size, step):
+        idx = offsets[lo : lo + step, None] + span
+        s1 = p1[idx]
+        mu = (s1[:, -1] - s1[:, 0]) / length
+        mi = s1[:, 1:] - s1[:, :-1]
+        mi /= sub
+        s2 = p2[idx]
+        t = s2[:, 1:] - s2[:, :-1]
+        t /= sub
+        t -= mi.real**2 + mi.imag**2
+        np.maximum(t, 0.0, out=t)
+        mi -= mu[:, None]
+        t += mi.real**2 + mi.imag**2
+        t += (16 * eps * (p2[-1] / sub + p2[M] / M + (mu.real**2 + mu.imag**2)))[:, None]
+        out[lo : lo + step] = np.sqrt(t, out=t).mean(axis=1)
+    return out
+
+
 def bmo_norm(f: BoundaryFunction) -> float:
     """Mean-oscillation norm estimate |mean| + max over dyadic arcs.
 
@@ -281,16 +322,22 @@ def bmo_norm(f: BoundaryFunction) -> float:
     of comparable length, so the estimate is within a bounded factor of
     the all-arcs value (the exhaustive scan is available separately).
 
-    The scan is exact and pruned: it returns the same value as computing
-    the mean absolute deviation of every dyadic arc.  By Cauchy-Schwarz an
-    arc's mean absolute deviation is at most its RMS deviation, which
-    prefix sums of the centred samples c = s - mean(s) give for every arc
-    in O(1); a rounding slack of 16 eps (sum of |c|^2 over the doubled
-    array / L + mean |c|^2) on each variance keeps the bound above the
-    deviation under cancellation.  The running maximum starts at the exact
-    deviation of the arc with the largest bound; one pass over the lengths
-    then evaluates only the offsets whose bound exceeds it.  A skipped
-    arc's deviation is at most its bound, hence at most the result.
+    The scan is exact and pruned by two bounds: it returns the same value
+    as computing the mean absolute deviation of every dyadic arc.  By
+    Cauchy-Schwarz an arc's mean absolute deviation is at most its RMS
+    deviation, which prefix sums of the centred samples c = s - mean(s)
+    give for every arc in O(1); a rounding slack of 16 eps (sum of |c|^2
+    over the doubled array / L + mean |c|^2) on each variance keeps the
+    bound above the deviation under cancellation.  The running maximum
+    starts at the exact deviation of the arc with the largest RMS bound;
+    one pass over the lengths then takes the offsets whose RMS bound
+    exceeds it and bounds those arcs again, from the same prefix sums, by
+    Jensen on k = min(32, L/4) equal sub-arcs (see _sub_arc_bound).  By
+    concavity of sqrt that bound is at most the RMS bound, up to the
+    slacks, and it tends to the deviation where the samples are nearly
+    constant on each sub-arc.  Only offsets above both bounds are
+    evaluated exactly.  A skipped arc's deviation is at most one of its
+    bounds, hence at most the result.
     """
     s = f.samples
     M = s.size
@@ -309,7 +356,9 @@ def bmo_norm(f: BoundaryFunction) -> float:
     top, offset = divmod(int(bound.argmax()), M)
     best = _arc_oscillation_at(ext, int(lengths[top]), np.array([offset]))
     for row, length in zip(bound, lengths):
-        best = max(best, _arc_oscillation_at(ext, int(length), np.flatnonzero(row > best)))
+        offsets = np.flatnonzero(row > best)
+        offsets = offsets[_sub_arc_bound(p1, p2, int(length), offsets) > best]
+        best = max(best, _arc_oscillation_at(ext, int(length), offsets))
     return abs(mean) + best
 
 
@@ -333,14 +382,15 @@ def write_csv(f: BoundaryFunction, path) -> None:
     """Rows t + offset, re(sample), im(sample).
 
     The first column reads 0, 1, ... on a plain grid and 0.5, 1.5, ... on a
-    half-offset grid, so the file names its own grid.
+    half-offset grid, so the file names its own grid.  Samples are written
+    as repr floats, which read back exactly, and lines end in CRLF, as the
+    csv module writes them.
     """
-    offset = f.grid.offset
+    s, offset = f.samples, f.grid.offset
+    positions = (np.arange(s.size) + offset).tolist() if offset else range(s.size)
+    rows = zip(positions, s.real.tolist(), s.imag.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for t, v in enumerate(f.samples):
-            position = t + offset if offset else t
-            writer.writerow([position, repr(float(v.real)), repr(float(v.imag))])
+        fh.writelines(f"{t},{re!r},{im!r}\r\n" for t, re, im in rows)
 
 
 def read_csv(path) -> BoundaryFunction:
@@ -349,17 +399,17 @@ def read_csv(path) -> BoundaryFunction:
     The offset is read from the first column, which must be exactly t or
     exactly t + 0.5 for t = 0, ..., M - 1.  Every sample must be finite.
     """
-    positions, rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for t, re, im in csv.reader(fh):
-            positions.append(float(t))
-            rows.append(complex(float(re), float(im)))
-    m = int(math.log2(len(rows))) if rows else 0
-    if 1 << m != len(rows):
+    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    count = len(data)
+    m = int(math.log2(count)) if count else 0
+    if 1 << m != count:
         raise ValueError("sample count in the file is not a power of two")
-    offset = positions[0]
-    if offset not in (0.0, 0.5) or not np.array_equal(positions, np.arange(len(rows)) + offset):
+    positions, re, im = data.T
+    offset = float(positions[0])
+    if offset not in (0.0, 0.5) or not np.array_equal(positions, np.arange(count) + offset):
         raise ValueError("first column must be t or t + 0.5 for t = 0, 1, ..., M - 1")
-    if not np.isfinite(rows).all():
+    samples = np.empty(count, dtype=complex)
+    samples.real, samples.imag = re, im
+    if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
-    return BoundaryFunction(BoundaryGrid(m, offset), np.array(rows))
+    return BoundaryFunction(BoundaryGrid(m, offset), samples)

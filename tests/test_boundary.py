@@ -1,3 +1,5 @@
+import csv
+import functools
 import math
 
 import numpy as np
@@ -30,6 +32,7 @@ from modelspace import (
     tilde,
     toeplitz_coanalytic,
 )
+from modelspace import boundary
 from modelspace.boundary import _arc_oscillation_at, _arc_oscillation_max
 
 
@@ -424,16 +427,17 @@ def test_arc_oscillation_chunks_bit_identical_to_unchunked_form(name):
             assert _arc_oscillation_at(ext, length, offsets) == expected
 
 
-def _noninterpolation_bmo_inputs(angle_step):
-    # the interpolant samples exp_noninterpolation hands to bmo_norm on the
-    # perfbench trend input: q = 0.7, n = 12 radial zeros, the CLI's m = 12
+def _noninterpolation_bmo_inputs(angle_step, q=0.7, m=12):
+    # the interpolant samples exp_noninterpolation hands to bmo_norm for n = 12
+    # radial zeros; the defaults are the perfbench trend input (q = 0.7 at
+    # the CLI's m = 12)
     from modelspace import experiments
 
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "bmo_norm", lambda f: captured.append(f) or 0.0)
-        zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=angle_step)
-        exp_noninterpolation(zeros, m=12)
+        zeros = generate_sequence("rotated_radial", q=q, n=12, angle_step=angle_step)
+        exp_noninterpolation(zeros, m=m)
     return captured
 
 
@@ -454,6 +458,71 @@ def test_bmo_transient_memory_is_cache_sized():
     f = _noninterpolation_bmo_inputs(0.45)[-1]
     assert f.grid.m == 12
     assert transient_peak(lambda: bmo_norm(f)) <= 4 << 20
+
+
+def _rms_pruned_bmo(f):
+    # bmo_norm before the sub-arc bound: the RMS bound alone picks the arcs
+    # that are evaluated exactly
+    s = f.samples
+    M = s.size
+    mean = complex(np.mean(s))
+    ext = np.concatenate([s, s])
+    c = ext - mean
+    p1 = np.concatenate([[0.0], np.cumsum(c)])
+    p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
+    lengths = 4 << np.arange(f.grid.m - 1)
+    bound = np.empty((lengths.size, M))
+    for row, length in zip(bound, lengths):
+        mu = (p1[length : length + M] - p1[:M]) / length
+        var = (p2[length : length + M] - p2[:M]) / length - (mu.real**2 + mu.imag**2)
+        slack = 16 * np.finfo(float).eps * (p2[-1] / length + p2[M] / M)
+        np.sqrt(np.maximum(var, 0.0) + slack, out=row)
+    top, offset = divmod(int(bound.argmax()), M)
+    best = boundary._arc_oscillation_at(ext, int(lengths[top]), np.array([offset]))
+    for row, length in zip(bound, lengths):
+        offsets = np.flatnonzero(row > best)
+        best = max(best, boundary._arc_oscillation_at(ext, int(length), offsets))
+    return abs(mean) + best
+
+
+@functools.cache
+def _trend_bmo_inputs():
+    # m = 12 inputs of the trend pipelines: three noninterpolation ladders
+    # and the co-analytic rungs n = 4 and 12 at four angle steps
+    inputs = [f for step in (0.0, 0.13, 0.45) for f in _noninterpolation_bmo_inputs(step)]
+    inputs += [_coanalytic_rung(step, n) for step in (0.0, 0.13, 0.37, 0.5) for n in (4, 12)]
+    return tuple(inputs)
+
+
+def test_bmo_sub_arc_bound_keeps_the_trend_values():
+    inputs = _trend_bmo_inputs()
+    assert len(inputs) == 23
+    assert [bmo_norm(f) for f in inputs] == [_rms_pruned_bmo(f) for f in inputs]
+
+
+def test_bmo_sub_arc_bound_keeps_the_deep_values():
+    # exp_noninterpolation's five interpolants at m = 17 (q = 0.5, n = 12),
+    # where thousands of arcs of length M/4 survive the RMS bound
+    inputs = _noninterpolation_bmo_inputs(0.0, q=0.5, m=17)
+    assert [f.grid.m for f in inputs] == [17] * 5
+    assert [bmo_norm(f) for f in inputs] == [_rms_pruned_bmo(f) for f in inputs]
+
+
+def test_bmo_sub_arc_bound_cuts_exact_evaluations(monkeypatch):
+    exact = boundary._arc_oscillation_at
+    counts = []
+
+    def counting(ext, length, offsets):
+        counts[-1] += offsets.size
+        return exact(ext, length, offsets)
+
+    monkeypatch.setattr(boundary, "_arc_oscillation_at", counting)
+    for estimate in (bmo_norm, _rms_pruned_bmo):
+        counts.append(0)
+        for f in _trend_bmo_inputs():
+            estimate(f)
+    with_sub_arcs, rms_only = counts
+    assert 0 < 3 * with_sub_arcs <= rms_only
 
 
 def test_membership_defect_examples():
@@ -550,6 +619,46 @@ def test_csv_round_trip_keeps_the_grid(tmp_path, m, offset):
     back = read_csv(path)
     assert back.grid == grid
     assert np.array_equal(back.samples, f.samples)
+
+
+def _csv_writer_bytes(f, path):
+    # write_csv's row-by-row csv.writer form, kept as the byte oracle
+    offset = f.grid.offset
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for t, v in enumerate(f.samples):
+            position = t + offset if offset else t
+            writer.writerow([position, repr(float(v.real)), repr(float(v.imag))])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_csv_bytes_match_the_csv_writer_form(tmp_path, offset):
+    from modelspace.boundary import write_csv
+
+    grid = BoundaryGrid(10, offset)
+    f = BoundaryFunction.from_callable(grid, lambda z: np.log(1.0 - 0.9 * z) + 1j * z ** 3)
+    write_csv(f, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == _csv_writer_bytes(f, tmp_path / "oracle.csv")
+
+
+def test_csv_round_trip_is_exact_at_the_float_extremes(tmp_path):
+    from modelspace.boundary import read_csv, write_csv
+
+    tiny = np.finfo(float).smallest_subnormal
+    edge = [0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).smallest_normal * 0.999,
+            1e308, -1e308, np.finfo(float).max, 0.1, -1.0 / 3.0]
+    rng = np.random.default_rng(11)
+    parts = np.concatenate([edge, rng.permutation(edge)] * 2 + [rng.normal(size=20)])
+    samples = np.empty(32, dtype=complex)
+    samples.real, samples.imag = parts[:32], parts[32:]
+    f = BoundaryFunction(BoundaryGrid(5, 0.5), samples)
+    path = tmp_path / "f.csv"
+    write_csv(f, path)
+    back = read_csv(path)
+    # bit for bit, so the signs of the zeros count
+    assert back.grid == f.grid
+    assert np.array_equal(back.samples.view(np.int64), f.samples.view(np.int64))
 
 
 def test_csv_reads_the_integer_column_format(tmp_path):

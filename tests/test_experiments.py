@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ def test_noninterpolation_trace_verdict_and_trend():
     assert verdict.verdict == "holds"
     bmo_ladder = _series(result, "interpolant_bmo")
     assert bmo_ladder[-1] > bmo_ladder[0]
+
+
+def test_deep_trends_are_resolved():
+    # q = 0.5, n = 12 at m = 17: resolution margin M (1 - max|z_j|) exactly 32
+    zeros = generate_sequence("rotated_radial", q=0.5, n=12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nonduality = exp_nonduality(zeros, m=17)
+        noninterpolation = exp_noninterpolation(zeros, m=17)
+    assert not [w for w in caught if "under-resolves" in str(w.message)]
+    assert nonduality.warnings == noninterpolation.warnings == []
+    assert max(_series(nonduality, "value_preservation_residual")) < 1e-7
+    bmo_ladder = _series(nonduality, "coanalytic_bmo")
+    assert len(bmo_ladder) == 5
+    assert all(b > a for a, b in zip(bmo_ladder, bmo_ladder[1:]))
 
 
 def test_dichotomy_bounded_side():
