@@ -67,6 +67,19 @@ class BlaschkeProduct:
         return BoundaryFunction(grid, eval_product(self, grid.nodes))
 
 
+def _rung_products(zeros: ZeroSequence, z: np.ndarray, rungs: list[int]):
+    # (n, B_n(z)) for the increasing rungs n, from one running product 1 b_1 b_2 ...
+    # over the flat points z, block by block; each yielded array is the consumer's
+    # (a copy, but for the last rung, which the generator no longer reads)
+    out = np.ones(z.size, dtype=complex)
+    for done, n in zip([0, *rungs], rungs):
+        for block, (fac, den) in _point_blocks(z.size, 2):
+            zb, ob = z[block], out[block]
+            for zj in zeros.points[done:n]:
+                ob *= _factor_into(zj, zb, fac, den)
+        yield n, out if n == rungs[-1] else out.copy()
+
+
 def eval_product(product: BlaschkeProduct, z):
     """Value of the product at z (scalar or array), |z| <= 1.
 
@@ -76,12 +89,7 @@ def eval_product(product: BlaschkeProduct, z):
     is the only array as long as z.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = np.ones(flat.size, dtype=complex)
-    for block, (fac, den) in _point_blocks(flat.size, 2):
-        zb, ob = flat[block], out[block]
-        for zj in product.zeros:
-            ob *= _factor_into(zj, zb, fac, den)
+    ((_, out),) = _rung_products(product.zeros, z.reshape(-1), [len(product)])
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 

@@ -140,11 +140,11 @@ def inner(f: BoundaryFunction, g: BoundaryFunction) -> complex:
 
 def lp_norm(f: BoundaryFunction, p: float) -> float:
     """Discrete L^p norm (mean |f|^p)^(1/p); max of |f| for p = inf."""
+    if not p >= 1:  # NaN fails this too
+        raise ValueError("p must be >= 1")
     a = np.abs(f.samples)
     if p == math.inf:
         return float(a.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
     return float(np.mean(a ** p) ** (1.0 / p))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .blaschke import BlaschkeProduct, all_derivatives, sublevel_indicator
+from .blaschke import BlaschkeProduct, _rung_products, all_derivatives, sublevel_indicator
 from .boundary import (
     BoundaryFunction,
     BoundaryGrid,
@@ -125,7 +125,8 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     Series: value-preservation residuals at the zeros, the ratio of
     |g(z_j)| to the natural log-growth envelope, and the oscillation norm
     of the co-analytic part over nested truncations (its growth is the
-    desk-scale shadow of the projection falling outside BMO).
+    desk-scale shadow of the projection falling outside BMO).  Every B_n
+    comes from one running product: one factor pass per zero, not per rung.
     """
     start = time.perf_counter()
     result, phi_raw, phi, g_at = _log_projection("nonduality", zeros, m)
@@ -137,10 +138,9 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
         result.add("value_preservation_residual", j, abs(g_at[j] - phi_at[j]))
         result.add("log_envelope_ratio", j, abs(g_at[j]) / envelope[j])
 
-    for n in _truncation_ladder(len(zeros)):
-        sub = zeros.truncate(n)
-        theta_n = BlaschkeProduct(sub).sample(phi.grid)
-        co_n = riesz_project(theta_n.conj() * phi, "-")
+    for n, theta_n in _rung_products(zeros, phi.grid.nodes, _truncation_ladder(len(zeros))):
+        co_n = riesz_project(BoundaryFunction(phi.grid, theta_n).conj() * phi, "-")
+        del theta_n  # the ladder holds the running product: free this rung's copy
         result.add("coanalytic_bmo", n, bmo_norm(co_n))
 
     result.runtime = time.perf_counter() - start
@@ -265,6 +265,8 @@ def exp_sublevel(
     space of B the interior sup tracks the boundary sup; the report also
     carries the oscillation norm of conj(B) f for the pairing study.
     """
+    if n_radial < 1:
+        raise ValueError("n_radial must be at least 1")
     start = time.perf_counter()
     result = ExperimentResult(
         name="sublevel",

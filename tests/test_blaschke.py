@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import transient_peak
+from conftest import random_zero_sequence, transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -17,6 +18,8 @@ from modelspace import (
     interpolation_delta,
     sublevel_indicator,
 )
+from modelspace.blaschke import POINT_BLOCK, _rung_products
+from modelspace.experiments import _truncation_ladder
 
 
 def _product(*points):
@@ -73,6 +76,64 @@ def test_product_sample_matches_pointwise_evaluation(m, offset, rng):
     direct = np.prod([blaschke_factor(zj, grid.nodes) for zj in product.zeros], axis=0)
     assert np.max(np.abs(sampled.samples - direct)) < 1e-14
     assert np.max(np.abs(np.abs(sampled.samples) - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [12, 15, 17])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_rung_products_match_per_rung_rebuild(m, offset):
+    # m >= 15 spans more than one POINT_BLOCK, so rungs cross block boundaries
+    grid = BoundaryGrid(m, offset)
+    assert (grid.size > POINT_BLOCK) == (m >= 15)
+    for n in (3, 4, 12, 13):
+        zeros = generate_sequence("rotated_radial", q=0.7, n=n, angle_step=0.13)
+        ladder = _truncation_ladder(n)
+        oracle = {k: BlaschkeProduct(zeros.truncate(k)).sample(grid).samples for k in ladder}
+        yielded = []
+        for k, vals in _rung_products(zeros, grid.nodes, ladder):
+            assert np.array_equal(vals, oracle[k])
+            yielded.append((k, vals))
+        # every rung's array is the consumer's: the running product moved on
+        # after it was yielded, and it must not have moved the array with it
+        assert [k for k, _ in yielded] == ladder
+        for k, vals in yielded:
+            assert np.array_equal(vals, oracle[k])
+
+
+def _mp_product(points, z):
+    # B_1(z), ..., B_n(z) at 40 digits, from the double inputs taken exactly
+    z = mpmath.mpc(z)
+    out, running = [], mpmath.mpc(1)
+    for zj in points:
+        zj = mpmath.mpc(zj)
+        unit = mpmath.mpc(-1) if zj == 0 else abs(zj) / zj
+        running *= unit * (zj - z) / (1 - mpmath.conj(zj) * z)
+        out.append(complex(running))
+    return out
+
+
+@pytest.mark.parametrize("case", ["rotated_radial", "separated", "origin", "near_boundary"])
+def test_eval_product_matches_mpmath(case, rng):
+    zeros = {
+        "rotated_radial": lambda: generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13),
+        "separated": lambda: random_zero_sequence(rng, 10),
+        "origin": lambda: ZeroSequence([0, 0.99, -0.95j, 0.5 + 0.5j, -0.7 + 0.1j, 0.98j]),
+        "near_boundary": lambda: ZeroSequence([0, 0.999, -0.99j, 0.995 * np.exp(2.0j)]),
+    }[case]()
+    nodes = BoundaryGrid(8, 0.5).nodes
+    radii = np.sqrt(rng.uniform(0.0, 0.998**2, 64))
+    interior = radii * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+    points = np.concatenate([nodes, interior, zeros.points[:2]])
+    with mpmath.workdps(40):
+        expected = np.array([_mp_product(zeros.points, z) for z in points]).T
+    # each factor carries a few roundings plus the cancellation in 1 - conj(z_j) z,
+    # about eps / |1 - conj(z_j) z| relative (measured: at most 0.89 of eps * cond);
+    # near_boundary's zeros sit so close to grid nodes (0.012 from z = 0.999) that
+    # this reaches 1.6e-14, while the other sequences stay within 1e-14 everywhere
+    cond = np.cumsum(1.0 + 1.0 / np.abs(1.0 - np.conj(zeros.points)[:, None] * points), axis=0)
+    for n in range(1, len(zeros) + 1):
+        err = np.abs(eval_product(BlaschkeProduct(zeros.truncate(n)), points) - expected[n - 1])
+        assert np.all(err <= 4.0 * np.finfo(float).eps * cond[n - 1])
+        assert case == "near_boundary" or err.max() < 1e-14
 
 
 def test_unimodularity_many_zeros(rng):

@@ -263,6 +263,15 @@ def test_lp_norm_examples(rng):
     assert lp_norm(kernel, 1) == pytest.approx(kernel_l1_quadrature(0.9), abs=1e-6)
 
 
+@pytest.mark.parametrize("p", [math.nan, -math.inf, 0.0, 0.5])
+def test_lp_norm_rejects_p_below_one_or_nan(p):
+    grid = _grid(8)
+    for f in (BoundaryFunction(grid, np.full(grid.size, 3.0)),
+              BoundaryFunction.from_callable(grid, lambda z: 1.0 / (1 - 0.5 * z))):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(f, p)
+
+
 def test_bmo_constant_exact():
     grid = _grid()
     c = BoundaryFunction(grid, np.full(grid.size, 3.0 - 4.0j))

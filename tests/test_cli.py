@@ -271,15 +271,29 @@ def test_experiment_dichotomy_defaults_to_unit_values(tmp_path):
     assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]
 
 
+def _run_cli(*argv):
+    # the CLI as its own process, so an uncaught error shows as its exit status
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "modelspace.cli", *argv], capture_output=True, text=True, env=env,
+    )
+
+
 def test_non_finite_zeros_file_exits_nonzero(tmp_path):
     # Python's json reads NaN, so the file parses; ZeroSequence must refuse it
     zpath = tmp_path / "zeros.json"
     zpath.write_text('{"zeros": [[NaN, 0.0], [0.5, 0.0]]}', encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-m", "modelspace.cli", "diagnose", "--zeros", str(zpath)],
-        capture_output=True, text=True, env=env,
-    )
+    run = _run_cli("diagnose", "--zeros", str(zpath))
     assert run.returncode != 0
     assert "points must be finite" in run.stderr
+
+
+def test_sublevel_zero_density_exits_nonzero(tmp_path):
+    # an empty polar lattice used to report sublevel_sup = 0 with exit status 0
+    out = tmp_path / "sub.json"
+    run = _run_cli("--grid-log2", "8", "experiment", "--name", "sublevel", "--radial-q", "0.6",
+                   "--n", "4", "--density", "0", "--out", str(out))
+    assert run.returncode != 0
+    assert "n_radial must be at least 1" in run.stderr
+    assert not out.exists()

@@ -6,11 +6,14 @@ import pytest
 
 import modelspace.experiments
 from conftest import random_zero_sequence
+from modelspace import blaschke
 from modelspace import (
+    BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
     ValueSequence,
     ZeroSequence,
+    bmo_norm,
     exp_dichotomy,
     exp_nonduality,
     exp_noninterpolation,
@@ -21,7 +24,9 @@ from modelspace import (
     lagrange_interpolant,
     log_samples,
     lp_norm,
+    riesz_project,
 )
+from modelspace.experiments import _truncation_ladder
 
 
 def _series(result, label):
@@ -103,6 +108,41 @@ def test_deep_trends_are_resolved():
     bmo_ladder = _series(nonduality, "coanalytic_bmo")
     assert len(bmo_ladder) == 5
     assert all(b > a for a, b in zip(bmo_ladder, bmo_ladder[1:]))
+
+
+def _per_rung_coanalytic_bmo(zeros, m):
+    # the ladder rebuilt anew on every rung, as exp_nonduality did
+    # before its one running product: the test oracle of that ladder
+    phi = log_samples(BoundaryGrid(m, offset=0.5))
+    series = []
+    for n in _truncation_ladder(len(zeros)):
+        theta_n = BlaschkeProduct(zeros.truncate(n)).sample(phi.grid)
+        series.append(("coanalytic_bmo", n, bmo_norm(riesz_project(theta_n.conj() * phi, "-"))))
+    return series
+
+
+@pytest.mark.parametrize("q, m, step", [(0.7, 12, 0.0), (0.7, 12, 0.13), (0.7, 12, 0.45),
+                                        (0.5, 17, 0.0)])
+def test_nonduality_ladder_matches_per_rung_rebuild(q, m, step):
+    zeros = generate_sequence("rotated_radial", q=q, n=12, angle_step=step)
+    got = [s for s in exp_nonduality(zeros, m=m).series if s[0] == "coanalytic_bmo"]
+    assert got == _per_rung_coanalytic_bmo(zeros, m)
+
+
+def test_nonduality_one_factor_pass_per_zero(monkeypatch):
+    # the ladder multiplies each zero in once, and the projection samples the
+    # full product once more: 2n passes at most (the per-rung rebuild took
+    # 4 + 6 + ... + 12 + 12 = 52 for n = 12)
+    calls = []
+    factor_into = blaschke._factor_into
+
+    def counted(*args):
+        calls.append(args[0])
+        return factor_into(*args)
+
+    monkeypatch.setattr(blaschke, "_factor_into", counted)
+    exp_nonduality(generate_sequence("rotated_radial", q=0.7, n=12), m=12)
+    assert len(calls) <= 2 * 12
 
 
 def test_dichotomy_bounded_side():
@@ -217,6 +257,14 @@ def test_sublevel_warns_when_lattice_misses():
     with pytest.warns(UserWarning):
         result = exp_sublevel(zeros, f, eps=1e-6)
     assert result.warnings
+
+
+@pytest.mark.parametrize("n_radial", [0, -1])
+def test_sublevel_rejects_empty_lattice(n_radial):
+    grid = BoundaryGrid(10)
+    f = BoundaryFunction(grid, np.full(grid.size, 1.0))
+    with pytest.raises(ValueError, match="n_radial"):
+        exp_sublevel(ZeroSequence([0.5]), f, n_radial=n_radial)
 
 
 def test_quadrature_oracle_validation():
