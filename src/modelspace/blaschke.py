@@ -93,17 +93,23 @@ def eval_product(product: BlaschkeProduct, z):
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
-def all_derivatives(product: BlaschkeProduct) -> np.ndarray:
-    """B'(z_j) for every zero, via the closed form of the product rule."""
-    pts = product.zeros.points
-    # fac[j, k] = b_k(z_j); the diagonal, 0 here, gets b_j'(z_j) below
+def _rung_derivatives(zeros: ZeroSequence) -> np.ndarray:
+    # D[j, n - 1] = B_n'(z_j) for every rung n > j (below the diagonal: B_n(z_j)),
+    # the running product along row j of fac[j, k] = b_k(z_j), whose diagonal
+    # holds b_j'(z_j): the closed form of the product rule
+    pts = zeros.points
     num = pts[None, :] - pts[:, None]
     den = 1.0 - np.conj(pts)[None, :] * pts[:, None]
     units = np.array([_unit(zj) for zj in pts])
     fac = units[None, :] * num / den
     own = np.array([-_unit(zj) / (1.0 - abs(zj) ** 2) for zj in pts])
     np.fill_diagonal(fac, own)
-    return np.prod(fac, axis=1)
+    return np.cumprod(fac, axis=1)
+
+
+def all_derivatives(product: BlaschkeProduct) -> np.ndarray:
+    """B'(z_j) for every zero: the last rung of _rung_derivatives."""
+    return _rung_derivatives(product.zeros)[:, -1]
 
 
 def interpolation_delta(product: BlaschkeProduct) -> float:

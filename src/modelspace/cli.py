@@ -37,7 +37,7 @@ def _load_zeros(args) -> ZeroSequence:
         return generate_sequence(
             "rotated_radial", q=args.radial_q, n=args.n, angle_step=args.angle_step
         )
-    raise SystemExit("provide --zeros FILE or --radial-q Q with --n N")
+    raise ValueError("provide --zeros FILE or --radial-q Q with --n N")
 
 
 # subcommand handlers, run(zeros, args) -> the JSON-ready output
@@ -65,12 +65,8 @@ def _interpolate(zeros: ZeroSequence, args) -> dict:
 
 
 def _classify(zeros: ZeroSequence, args) -> dict:
-    values = ValueSequence.from_json(args.values)
-    try:
-        desc = SmoothnessDescriptor(args.klass, alpha=args.alpha, p=args.p, s=args.s)
-    except ValueError as exc:
-        raise SystemExit(f"--class {args.klass}: {exc}") from None
-    return classify_trace(zeros, values, desc).to_dict()
+    desc = SmoothnessDescriptor(args.klass, alpha=args.alpha, p=args.p, s=args.s)
+    return classify_trace(zeros, ValueSequence.from_json(args.values), desc).to_dict()
 
 
 def _dichotomy(zeros: ZeroSequence, args) -> experiments.ExperimentResult:
@@ -159,7 +155,11 @@ def main(argv=None) -> int:
     p.add_argument("--csv", help="flat CSV of all series")
 
     args = parser.parse_args(argv)
-    text = json.dumps(args.run(_load_zeros(args), args), indent=2)
+    try:
+        output = args.run(_load_zeros(args), args)
+    except ValueError as exc:  # the library's input checks: a usage error, exit 2
+        sub.choices[args.command].error(str(exc))
+    text = json.dumps(output, indent=2)
     if args.out is None:
         print(text)
     else:

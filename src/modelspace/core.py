@@ -125,11 +125,6 @@ class ValueSequence(_JsonFile):
     def __iter__(self):
         return iter(self.values)
 
-    def truncate(self, n: int) -> "ValueSequence":
-        if not 1 <= n <= len(self):
-            raise ValueError(f"cannot truncate length {len(self)} to {n}")
-        return ValueSequence(self.values[:n].copy())
-
     def ell_p_gamma(self, zeros: ZeroSequence, p: float, gamma: float) -> float:
         """The weighted functional sum |w_j|^p (1 - |z_j|)^gamma."""
         if len(zeros) != len(self):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .blaschke import BlaschkeProduct, _rung_products, all_derivatives, sublevel_indicator
+from .blaschke import BlaschkeProduct, _rung_derivatives, _rung_products, sublevel_indicator
 from .boundary import (
     BoundaryFunction,
     BoundaryGrid,
@@ -31,7 +31,7 @@ from .boundary import (
 )
 from .classify import DecayVerdict, log_growth_check
 from .core import ValueSequence, ZeroSequence
-from .interp import _TABLE_ENTRIES, cauchy_eval, conjugate_sequence, lagrange_interpolant
+from .interp import _TABLE_ENTRIES, _lagrange_eval, cauchy_eval
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
@@ -171,7 +171,8 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     Series: the L1 norms of the reproducing kernels at the zeros by the
     grid route and by adaptive quadrature, their ratios to the log
     envelope, and the oscillation norm of the interpolant of the
-    projected logarithm's trace over nested truncations.
+    projected logarithm's trace over nested truncations, whose B_n'(z_j)
+    all come from one _rung_derivatives matrix.
     """
     start = time.perf_counter()
     result, _, phi, g_at = _log_projection("noninterpolation", zeros, m)
@@ -186,13 +187,12 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
         result.add("kernel_l1_quadrature", j, quad_norm)
         result.add("kernel_l1_ratio", j, quad_norm / envelope[j])
 
-    values = ValueSequence(g_at)
-    verdict = log_growth_check(zeros, values)
-    result.verdicts.append(verdict)
+    result.verdicts.append(log_growth_check(zeros, ValueSequence(g_at)))
 
+    derivatives = _rung_derivatives(zeros)
     for n in _truncation_ladder(len(zeros)):
-        interp = lagrange_interpolant(zeros.truncate(n), values.truncate(n))
-        result.add("interpolant_bmo", n, bmo_norm(interp.sample(grid)))
+        samples = _lagrange_eval(zeros.points[:n], g_at[:n] / derivatives[:n, n - 1], grid.nodes)
+        result.add("interpolant_bmo", n, bmo_norm(BoundaryFunction(grid, samples)))
 
     result.runtime = time.perf_counter() - start
     return result
@@ -207,16 +207,16 @@ def exp_dichotomy(
     value and the boundary sup norm of the interpolant.  Data traced from
     a fixed bounded function stays flat; data built to diverge grows.
 
-    All rungs are sampled in one pass.  On the circle the Lagrange
-    interpolant of the first n values is exactly
-    B_n(zeta) sum_{j<n} w_j / (B_n'(z_j) (zeta - z_j)), with
+    On the circle the Lagrange interpolant of the first n values is
+    exactly B_n(zeta) sum_{j<n} w_j / (B_n'(z_j) (zeta - z_j)), with
     |zeta - z_j| >= 1 - |z_j| > 0 at every node, and |B_n(zeta)| = 1
     there, so its sup is that of the sum alone.  The rung coefficients
-    w_j / B_n'(z_j) form one lower-triangular matrix; the Cauchy block
-    1 / (zeta - z_j) is built over chunks of nodes of _TABLE_ENTRIES
-    entries, each chunk costs one matrix product, and a running maximum
-    per rung keeps the sups, so memory stays O(M) whatever the number of
-    zeros.  The sups agree with those of
+    w_j / B_n'(z_j), one masked division by the _rung_derivatives matrix,
+    form one lower-triangular matrix; its product with the kernel matrix
+    1 / (1 - z_j conj(z_k)) holds every rung's conjugate values, and its
+    product with the Cauchy block 1 / (zeta - z_j), built over chunks of
+    _TABLE_ENTRIES entries, feeds a running maximum per rung, so memory
+    stays O(M) whatever the number of zeros.  The sups agree with those of
     lagrange_interpolant(...).sample(grid) to rounding.  That method keeps
     the stable running-sum form: interior points need it for the 0/0 at
     z_j, and on the circle the boundary form would move the oscillation
@@ -232,17 +232,16 @@ def exp_dichotomy(
         parameters={"grid_log2": m, "n_zeros": len(zeros)},
     )
     count = len(zeros)
-    rungs = np.zeros((count, count), dtype=complex)  # row n - 1: coefficients of rung n
-    conjugate_max = []
-    for n in range(1, count + 1):
-        sub_z = zeros.truncate(n)
-        sub_w = values.truncate(n)
-        conjugate_max.append(float(np.abs(conjugate_sequence(sub_z, sub_w).values).max()))
-        rungs[n - 1, :n] = sub_w.values / all_derivatives(BlaschkeProduct(sub_z))
+    pts = zeros.points
+    lower = np.tri(count, dtype=bool)  # row n - 1 holds rung n: entries j < n
+    rungs = np.divide(values.values, _rung_derivatives(zeros).T, where=lower,
+                      out=np.zeros((count, count), dtype=complex))
+    conjugate = rungs @ (1.0 / (1.0 - pts[:, None] * np.conj(pts)[None, :]))
+    conjugate_max = np.abs(conjugate).max(axis=1, initial=0.0, where=lower)
     sups = np.zeros(count)
     step = max(1, _TABLE_ENTRIES // count)
     for lo in range(0, grid.size, step):
-        block = grid.nodes[None, lo : lo + step] - zeros.points[:, None]
+        block = grid.nodes[None, lo : lo + step] - pts[:, None]
         np.divide(1.0, block, out=block)
         np.maximum(sups, np.abs(rungs @ block).max(axis=1), out=sups)
     for n in range(1, count + 1):

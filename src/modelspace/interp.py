@@ -144,7 +144,8 @@ class InterpolantRepresentation:
     def __call__(self, z):
         if self.form == "kernel_basis":
             return _kernel_eval(self.zeros.points, self.coefficients, z)
-        return _lagrange_eval(self.zeros, self.coefficients, z)
+        derivatives = blaschke.all_derivatives(BlaschkeProduct(self.zeros))
+        return _lagrange_eval(self.zeros.points, self.coefficients / derivatives, z)
 
     def sample(self, grid: BoundaryGrid) -> BoundaryFunction:
         return BoundaryFunction(grid, np.asarray(self(grid.nodes), dtype=complex))
@@ -174,9 +175,9 @@ def _kernel_eval(points: np.ndarray, coeffs: np.ndarray, z):
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
-def _lagrange_eval(zeros: ZeroSequence, values: np.ndarray, z):
-    # Stable running-sum form.  The j-th Lagrange term is
-    #   c_j core_j(z) prod_{k != j} b_k(z),  c_j = w_j / B'(z_j),
+def _lagrange_eval(points: np.ndarray, coeffs: np.ndarray, z):
+    # Stable running-sum form over the zeros z_j in points, with the series
+    # coefficients c_j = w_j / B'(z_j).  The j-th term is c_j core_j(z) prod_{k != j} b_k(z),
     # and core_j(z) = b_j(z) / (z - z_j) = -u_j / (1 - conj(z_j) z) exactly,
     # which removes the 0/0 at z = z_j without any limit branch.  After
     # zero j, total holds the series over the first j + 1 zeros and prefix
@@ -187,12 +188,11 @@ def _lagrange_eval(zeros: ZeroSequence, values: np.ndarray, z):
     # block length.
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    coeffs = values / blaschke.all_derivatives(BlaschkeProduct(zeros))
     total = np.zeros(flat.size, dtype=complex)
     for block, (prefix, fac, den, term) in blaschke._point_blocks(flat.size, 4):
         zb, tot = flat[block], total[block]
         prefix.fill(1.0)
-        for zj, cj in zip(zeros.points, coeffs):
+        for zj, cj in zip(points, coeffs):
             blaschke._factor_into(zj, zb, fac, den)
             np.divide(-blaschke._unit(zj) * cj, den, out=term)
             term *= prefix

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,26 @@ def separated_points(rng, n, max_modulus=0.9, min_separation=0.3):
 
 def random_zero_sequence(rng, n, max_modulus=0.9, min_separation=0.3):
     return ZeroSequence(separated_points(rng, n, max_modulus, min_separation))
+
+
+def mp_rung_derivatives(points):
+    """D[j][n - 1] = B_n'(z_j) for every rung n > j, as mpmath numbers at the
+    working precision: the product rule b_j'(z_j) prod_{k < n, k != j} b_k(z_j)
+    over the double inputs taken exactly (None below the diagonal)."""
+    pts = [mpmath.mpc(complex(z)) for z in points]
+    rows = []
+    for j, zj in enumerate(pts):
+        row, running = [None] * len(pts), mpmath.mpc(1)
+        for k, zk in enumerate(pts):
+            unit = mpmath.mpc(-1) if zk == 0 else abs(zk) / zk
+            if k == j:
+                running *= -unit / (1 - abs(zj) ** 2)
+            else:
+                running *= unit * (zk - zj) / (1 - mpmath.conj(zk) * zj)
+            if k >= j:
+                row[k] = running
+        rows.append(row)
+    return rows
 
 
 def kernel_combination(grid, points, coeffs):

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_zero_sequence, transient_peak
+from conftest import mp_rung_derivatives, random_zero_sequence, transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -18,7 +18,7 @@ from modelspace import (
     interpolation_delta,
     sublevel_indicator,
 )
-from modelspace.blaschke import POINT_BLOCK, _rung_products
+from modelspace.blaschke import POINT_BLOCK, _rung_derivatives, _rung_products
 from modelspace.experiments import _truncation_ladder
 
 
@@ -148,6 +148,32 @@ def test_derivative_examples():
     assert all_derivatives(_product(0.5))[0] == pytest.approx(-4.0 / 3.0, abs=1e-15)
     b = _product(0, 0.5)
     assert all_derivatives(b)[0] == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("case", ["pair", "rotated_radial", "separated", "origin"])
+def test_rung_derivatives_match_mpmath(case, rng):
+    # every rung's column, B_n'(z_j) for j < n, against the product rule at 40
+    # digits; "pair" is the 2-zero case, where numpy's prod and the running
+    # product of the ladder multiply in a different operand order
+    zeros = {
+        "pair": lambda: ZeroSequence([0.3 + 0.4j, -0.6 + 0.1j]),
+        "rotated_radial": lambda: generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13),
+        "separated": lambda: random_zero_sequence(rng, 10),
+        "origin": lambda: ZeroSequence([0, 0.99, -0.95j, 0.5 + 0.5j, -0.7 + 0.1j, 0.98j]),
+    }[case]()
+    pts = zeros.points
+    derivatives = _rung_derivatives(zeros)
+    assert np.array_equal(all_derivatives(BlaschkeProduct(zeros)), derivatives[:, -1])
+    with mpmath.workdps(40):
+        expected = mp_rung_derivatives(pts)
+    # each factor carries a few roundings plus the cancellation in
+    # 1 - conj(z_k) z_j, which for k = j is the 1 - |z_j|^2 of b_j'(z_j)
+    cond = np.cumsum(1.0 + 1.0 / np.abs(1.0 - np.conj(pts)[None, :] * pts[:, None]), axis=1)
+    for n in range(1, len(zeros) + 1):
+        for j in range(n):
+            want = complex(expected[j][n - 1])
+            err = abs(derivatives[j, n - 1] - want) / abs(want)
+            assert err <= 4.0 * np.finfo(float).eps * cond[j, n - 1], (n, j, err)
 
 
 def test_derivative_matches_finite_differences(rng):

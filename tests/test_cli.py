@@ -297,3 +297,18 @@ def test_sublevel_zero_density_exits_nonzero(tmp_path):
     assert run.returncode != 0
     assert "n_radial must be at least 1" in run.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "2"], "eps must lie in (0, 1)"),
+    (["--density", "0"], "n_radial must be at least 1"),
+])
+def test_library_input_error_is_usage_error(flags, message):
+    # a ValueError from the library's own checks exits 2 with a usage line,
+    # as argparse's errors do, instead of escaping as a traceback
+    run = _run_cli("--grid-log2", "8", "experiment", "--name", "sublevel", "--radial-q", "0.6",
+                   "--n", "4", *flags)
+    assert run.returncode == 2
+    assert message in run.stderr
+    assert run.stderr.startswith("usage: modelspace experiment")
+    assert "Traceback" not in run.stderr

@@ -1,11 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import modelspace.experiments
-from conftest import random_zero_sequence
+from conftest import mp_rung_derivatives, random_zero_sequence
 from modelspace import blaschke
 from modelspace import (
     BlaschkeProduct,
@@ -14,6 +15,7 @@ from modelspace import (
     ValueSequence,
     ZeroSequence,
     bmo_norm,
+    conjugate_sequence,
     exp_dichotomy,
     exp_nonduality,
     exp_noninterpolation,
@@ -26,7 +28,7 @@ from modelspace import (
     lp_norm,
     riesz_project,
 )
-from modelspace.experiments import _truncation_ladder
+from modelspace.experiments import _log_projection, _truncation_ladder
 
 
 def _series(result, label):
@@ -179,7 +181,7 @@ def _per_rung_sups(zeros, values, m):
     grid = BoundaryGrid(m)
     sups = []
     for n in range(1, len(zeros) + 1):
-        interp = lagrange_interpolant(zeros.truncate(n), values.truncate(n))
+        interp = lagrange_interpolant(zeros.truncate(n), ValueSequence(values.values[:n]))
         sups.append(lp_norm(interp.sample(grid), math.inf))
     return sups
 
@@ -214,6 +216,78 @@ def test_dichotomy_chunked_grid_matches_per_rung(case, rng, monkeypatch):
     got = np.array(_series(exp_dichotomy(zeros, values, m=m), "interpolant_sup"))
     expected = np.array(_per_rung_sups(zeros, values, m))
     assert np.all(np.abs(got - expected) <= 1e-10 * expected)
+
+
+def _mp_conjugate_max(zeros, values):
+    # max over k < n of |sum_{j<n} w_j / (B_n'(z_j) (1 - z_j conj(z_k)))|, per
+    # rung n, summed at 40 digits
+    with mpmath.workdps(40):
+        pts = [mpmath.mpc(complex(z)) for z in zeros.points]
+        w = [mpmath.mpc(complex(v)) for v in values.values]
+        derivatives = mp_rung_derivatives(zeros.points)
+        maxima = []
+        for n in range(1, len(pts) + 1):
+            sums = [mpmath.fsum(w[j] / (derivatives[j][n - 1] * (1 - pts[j] * mpmath.conj(pts[k])))
+                                for j in range(n))
+                    for k in range(n)]
+            maxima.append(float(max(abs(c) for c in sums)))
+        return maxima
+
+
+@pytest.mark.parametrize("case", ["clustered_radial", "separated"])
+def test_dichotomy_conjugate_values_match_per_rung_and_mpmath(case, rng):
+    if case == "clustered_radial":
+        zeros = generate_sequence("rotated_radial", q=0.7, n=12)
+        values = ValueSequence(np.ones(12))
+    else:
+        zeros = random_zero_sequence(rng, 10)
+        values = ValueSequence(rng.normal(size=10) + 1j * rng.normal(size=10))
+    got = np.array(_series(exp_dichotomy(zeros, values, m=10), "max_conjugate_value"))
+    # the per-rung transform exp_dichotomy replaced, kept as its oracle
+    per_rung = np.array([
+        np.abs(conjugate_sequence(zeros.truncate(n), ValueSequence(values.values[:n])).values).max()
+        for n in range(1, len(zeros) + 1)
+    ])
+    assert np.all(np.abs(got - per_rung) <= 1e-10 * per_rung)
+    exact = np.array(_mp_conjugate_max(zeros, values))
+    assert np.all(np.abs(got - exact) <= 1e-10 * exact)
+
+
+def _per_rung_interpolant_bmo(zeros, m):
+    # the per-rung Lagrange interpolants exp_noninterpolation sampled before
+    # its derivative ladder, kept as its oracle
+    _, _, phi, g_at = _log_projection("noninterpolation", zeros, m)
+    series = []
+    for n in _truncation_ladder(len(zeros)):
+        interp = lagrange_interpolant(zeros.truncate(n), ValueSequence(g_at[:n]))
+        series.append(("interpolant_bmo", n, bmo_norm(interp.sample(phi.grid))))
+    return series
+
+
+@pytest.mark.parametrize("q, m, step", [(0.7, 12, 0.0), (0.7, 12, 0.13), (0.7, 12, 0.45),
+                                        (0.5, 17, 0.0)])
+def test_noninterpolation_ladder_matches_per_rung_rebuild(q, m, step):
+    zeros = generate_sequence("rotated_radial", q=q, n=12, angle_step=step)
+    got = [s for s in exp_noninterpolation(zeros, m=m).series if s[0] == "interpolant_bmo"]
+    assert got == _per_rung_interpolant_bmo(zeros, m)
+
+
+def test_pipelines_build_no_sequence_per_rung(monkeypatch):
+    # every rung comes from one derivative matrix: the per-rung rebuilds took
+    # 12 ZeroSequences in exp_dichotomy and 5 in exp_noninterpolation
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12)
+    values = ValueSequence(np.ones(12))
+    built = []
+    post_init = ZeroSequence.__post_init__
+
+    def counted(self):
+        built.append(len(self.points))
+        post_init(self)
+
+    monkeypatch.setattr(ZeroSequence, "__post_init__", counted)
+    exp_dichotomy(zeros, values, m=10)
+    exp_noninterpolation(zeros, m=12)
+    assert built == []
 
 
 def test_sublevel_constant():
