@@ -118,40 +118,47 @@ def interpolation_delta(product: BlaschkeProduct) -> float:
     return float(np.min(np.abs(all_derivatives(product)) * (1.0 - moduli)))
 
 
+def _frostman_sums(zeros: ZeroSequence, zeta: np.ndarray) -> np.ndarray:
+    # sum over j of (1 - |z_j|) / |zeta - z_j| for each boundary point of the 1-D zeta
+    dist = np.abs(zeta[:, None] - zeros.points)
+    if dist.min() < 1e-15:
+        raise ValueError("zeta coincides with a zero's radial limit")
+    return np.sum((1.0 - zeros.moduli) / dist, axis=1)
+
+
 def frostman_sum(zeros: ZeroSequence, zeta: complex) -> float:
     """sum over j of (1 - |z_j|) / |zeta - z_j| at a boundary point zeta."""
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise ValueError("zeta must lie on the unit circle")
-    dist = np.abs(zeta - zeros.points)
-    if dist.min() < 1e-15:
-        raise ValueError("zeta coincides with a zero's radial limit")
-    return float(np.sum((1.0 - zeros.moduli) / dist))
+    return float(_frostman_sums(zeros, np.array([zeta]))[0])
 
 
-def _golden_max(fun, lo: float, hi: float) -> float:
+def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # golden-section search for a maximum of fun on every bracket [lo_i, hi_i]
+    # at once; fun maps an array of points to their values
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(GOLDEN_ITERS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return max(fc, fd)
+        # left: keep [a, d] and probe a new c; otherwise keep [c, b] and probe a new d
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fun(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return np.maximum(fc, fd)
 
 
 def frostman_sup(zeros: ZeroSequence, grid_size: int = 4096) -> float:
     """Approximate sup over the circle of frostman_sum.
 
-    Scans a uniform grid of the stated size, then refines around the top
-    grid maximizers with golden-section search on the neighbouring arcs.
+    Scans a uniform grid of the stated size, then refines around the four
+    top grid maximizers with golden-section search on the neighbouring
+    arcs, all four brackets advanced together as one vectorised search.
     The grid sums are accumulated one zero at a time into length-M
     buffers, so memory stays O(M) whatever the number of zeros.
     """
@@ -163,17 +170,11 @@ def frostman_sup(zeros: ZeroSequence, grid_size: int = 4096) -> float:
     for zj, gap in zip(zeros.points, 1.0 - zeros.moduli):
         vals += gap / np.abs(nodes - zj)
     spacing = 2.0 * np.pi / grid_size
-
-    def fun(t: float) -> float:
-        return frostman_sum(zeros, complex(np.exp(1j * t)))
-
     # refine the best few local maxima, not just the best node
-    order = np.argsort(vals)[::-1][:4]
-    best = float(vals.max())
-    for i in order:
-        t0 = theta[i]
-        best = max(best, _golden_max(fun, t0 - spacing, t0 + spacing))
-    return best
+    t0 = theta[np.argsort(vals)[::-1][:4]]
+    refined = _golden_max(lambda t: _frostman_sums(zeros, np.exp(1j * t)),
+                          t0 - spacing, t0 + spacing)
+    return max(float(vals.max()), float(refined.max()))
 
 
 def sublevel_indicator(product: BlaschkeProduct, eps: float, z):

@@ -9,6 +9,7 @@ as CSV rows t + offset, re, im.  See the README for examples.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -106,7 +107,10 @@ def _experiment(zeros: ZeroSequence, args) -> dict:
     return result.to_dict()
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    # the argparse tree and its subparsers action, built once per process; the
+    # handlers it holds look their pipelines up at call time
     parser = argparse.ArgumentParser(
         prog="modelspace",
         description="Blaschke products, boundary projections and trace classifiers",
@@ -153,18 +157,23 @@ def main(argv=None) -> int:
     p.add_argument("--epsilon", type=float, default=0.5, help="sublevel threshold")
     p.add_argument("--density", type=int, default=48, help="radial lattice density")
     p.add_argument("--csv", help="flat CSV of all series")
+    return parser, sub
 
+
+def main(argv=None) -> int:
+    parser, sub = _parser()
     args = parser.parse_args(argv)
     try:
-        output = args.run(_load_zeros(args), args)
-    except ValueError as exc:  # the library's input checks: a usage error, exit 2
+        text = json.dumps(args.run(_load_zeros(args), args), indent=2)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except (ValueError, OSError) as exc:
+        # the library's input checks and unreadable or unwritable files
+        # (inputs, --out, --csv, --boundary-csv): a usage error, exit 2
         sub.choices[args.command].error(str(exc))
-    text = json.dumps(output, indent=2)
     if args.out is None:
         print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return 0
 
 

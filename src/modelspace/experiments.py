@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .blaschke import BlaschkeProduct, _rung_derivatives, _rung_products, sublevel_indicator
 from .boundary import (
@@ -153,7 +152,12 @@ def kernel_l1_quadrature(r: float) -> float:
     The norm has the closed form 2 K(k) / (pi (1 + r)), with K the complete
     elliptic integral of the first kind and modulus k = 2 sqrt(r) / (1 + r),
     and expands as (1/pi) log(8/(1 - r)) + O((1 - r) log(1/(1 - r))) as r -> 1.
+    scipy.integrate is imported on the first call, not with the package.
     """
+    # deferred: nothing else in the package needs scipy, and importing
+    # scipy.integrate costs several times the rest of `import modelspace`
+    from scipy.integrate import quad
+
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
     val, _ = quad(

@@ -18,7 +18,7 @@ from modelspace import (
     interpolation_delta,
     sublevel_indicator,
 )
-from modelspace.blaschke import POINT_BLOCK, _rung_derivatives, _rung_products
+from modelspace.blaschke import GOLDEN_ITERS, POINT_BLOCK, _rung_derivatives, _rung_products
 from modelspace.experiments import _truncation_ladder
 
 
@@ -260,6 +260,69 @@ def test_frostman_sup_memory_is_linear_in_grid_size():
     sup = []
     assert transient_peak(lambda: sup.append(frostman_sup(zeros, grid_size))) <= 8 * grid_size * 8
     assert sup[0] >= frostman_sum(zeros, 1.0) - 1e-9
+
+
+def _scalar_frostman_sum(zeros, t):
+    # the 1-D form of frostman_sum at exp(i t)
+    dist = np.abs(complex(np.exp(1j * t)) - zeros.points)
+    assert dist.min() >= 1e-15
+    return float(np.sum((1.0 - zeros.moduli) / dist))
+
+
+def _scalar_golden_max(fun, lo, hi):
+    # one bracket at a time, one scalar evaluation per step: the form the
+    # vectorised search of frostman_sup replaced
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(GOLDEN_ITERS):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return max(fc, fd)
+
+
+def _scalar_frostman_sup(zeros, grid_size):
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    nodes = np.exp(1j * theta)
+    vals = np.zeros(grid_size)
+    for zj, gap in zip(zeros.points, 1.0 - zeros.moduli):
+        vals += gap / np.abs(nodes - zj)
+    spacing = 2.0 * np.pi / grid_size
+    best = float(vals.max())
+    for i in np.argsort(vals)[::-1][:4]:
+        t0 = theta[i]
+        best = max(best, _scalar_golden_max(
+            lambda t: _scalar_frostman_sum(zeros, t), t0 - spacing, t0 + spacing))
+    return best
+
+
+@pytest.mark.parametrize("grid_size", [16, 256, 1024, 4096])
+def test_frostman_sup_equals_scalar_search(grid_size):
+    # 80 random sequences per grid size, n from 1 to 29, moduli up to 0.99
+    rng = np.random.default_rng(grid_size)
+    for _ in range(80):
+        n = int(rng.integers(1, 30))
+        zeros = ZeroSequence(rng.uniform(0.0, 0.99, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n)))
+        assert frostman_sup(zeros, grid_size) == _scalar_frostman_sup(zeros, grid_size)
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        assert frostman_sum(zeros, np.exp(1j * t)) == _scalar_frostman_sum(zeros, t)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_frostman_sup_equals_scalar_search_on_radial_ladders(q):
+    for n in (1, 4, 8, 12):
+        for step in (0.0, 0.13, 0.45):
+            zeros = generate_sequence("rotated_radial", q=q, n=n, angle_step=step)
+            for grid_size in (16, 1024, 4096):
+                assert frostman_sup(zeros, grid_size) == _scalar_frostman_sup(zeros, grid_size)
 
 
 def test_sublevel_examples():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -271,13 +272,16 @@ def test_experiment_dichotomy_defaults_to_unit_values(tmp_path):
     assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]
 
 
-def _run_cli(*argv):
-    # the CLI as its own process, so an uncaught error shows as its exit status
+def _run_python(*args):
+    # a fresh interpreter with the checkout's sources first on its path
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "modelspace.cli", *argv], capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(*argv):
+    # the CLI as its own process, so an uncaught error shows as its exit status
+    return _run_python("-m", "modelspace.cli", *argv)
 
 
 def test_non_finite_zeros_file_exits_nonzero(tmp_path):
@@ -312,3 +316,81 @@ def test_library_input_error_is_usage_error(flags, message):
     assert message in run.stderr
     assert run.stderr.startswith("usage: modelspace experiment")
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("case", ["zeros", "values", "out", "csv", "boundary_csv"])
+def test_io_error_is_usage_error(files, tmp_path, capsys, case):
+    # an unreadable input or an unwritable output exits 2 with a usage line and
+    # the OS message, as argparse's errors do, instead of escaping as a traceback
+    _, zpath, wpath, _, _ = files
+    bad = str(tmp_path / "missing" / "file")  # its directory does not exist
+    command, *flags = {
+        "zeros": ["diagnose", "--zeros", bad],
+        "values": ["transform", "--zeros", zpath, "--values", bad],
+        "out": ["diagnose", "--zeros", zpath, "--out", bad],
+        "csv": ["experiment", "--name", "sublevel", "--zeros", zpath, "--csv", bad],
+        "boundary_csv": ["interpolate", "--zeros", zpath, "--values", wpath,
+                         "--boundary-csv", bad],
+    }[case]
+    with pytest.raises(SystemExit) as info:
+        main(["--grid-log2", "8", command, *flags])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: modelspace {command}")
+    assert "No such file or directory" in captured.err and bad in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_SCIPY_PROBE = """
+import sys
+import modelspace, modelspace.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded() == [], loaded()
+assert modelspace.cli.main(["--grid-log2", "8", "diagnose", "--radial-q", "0.5", "--n", "4",
+                            "--out", sys.argv[1]]) == 0
+assert loaded() == [], loaded()
+value = modelspace.kernel_l1_quadrature(0.5)
+assert "scipy.integrate" in sys.modules
+print(repr(value))
+"""
+
+
+def test_import_loads_no_scipy_until_quadrature(tmp_path):
+    # a fresh interpreter: the package and a full CLI run load no scipy module;
+    # the first quadrature call imports scipy.integrate and gives the same value
+    run = _run_python("-c", _SCIPY_PROBE, str(tmp_path / "d.json"))
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == experiments.kernel_l1_quadrature(0.5)
+
+
+def test_parser_built_once_per_process(files, monkeypatch):
+    _, zpath, _, _, _ = files
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    counts = []
+    for _ in range(3):  # the first call builds the tree unless an earlier test did
+        assert main(["--grid-log2", "8", "diagnose", "--zeros", zpath, "--out", os.devnull]) == 0
+        counts.append(len(built))
+    assert counts[1:] == [counts[0], counts[0]]
+
+
+def test_pipeline_patched_after_first_call_takes_effect(tmp_path, monkeypatch):
+    # the cached parser holds handlers that look their pipeline up at call time
+    argv = _sublevel_argv(8, 4, tmp_path / "sub.json")
+    assert main(argv) == 0
+    seen = []
+
+    def capture(zeros, f, **kwargs):
+        seen.append(len(zeros))
+        return exp_sublevel(zeros, f, **kwargs)
+
+    monkeypatch.setattr(experiments, "exp_sublevel", capture)
+    assert main(argv) == 0
+    assert seen == [4]

@@ -347,6 +347,18 @@ def test_quadrature_oracle_validation():
         kernel_l1_quadrature(1.0)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999])
+def test_quadrature_matches_mpmath_closed_form(r):
+    # 2 K(k) / (pi (1 + r)) with k = 2 sqrt(r) / (1 + r), at 40 digits from
+    # the double r taken exactly (measured: at most 7.3e-16 relative, at r = 0.999)
+    with mpmath.workdps(40):
+        rr = mpmath.mpf(r)
+        k = 2 * mpmath.sqrt(rr) / (1 + rr)
+        want = 2 * mpmath.ellipk(k**2) / (mpmath.pi * (1 + rr))
+        err = abs((kernel_l1_quadrature(r) - want) / want)
+    assert err <= 1e-10
+
+
 def test_log_samples_requires_offset():
     with pytest.raises(ValueError):
         log_samples(BoundaryGrid(10))

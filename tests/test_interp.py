@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import modelspace.experiments
 import modelspace.interp
-from conftest import kernel_combination, random_zero_sequence, transient_peak
+from conftest import kernel_combination, mp_rung_derivatives, random_zero_sequence, transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -192,6 +193,32 @@ def test_conjugate_sequence_examples(rng):
 
     with pytest.raises(ValueError):
         conjugate_sequence(zeros, ValueSequence([1.0]))
+
+
+@pytest.mark.parametrize("case", ["pair", "rotated_radial", "separated", "origin"])
+def test_conjugate_matrix_matches_mpmath(case, rng):
+    # A[k, j] = 1 / (B'(z_j) (1 - z_j conj(z_k))) against B'(z_j) from the
+    # product rule and the kernel factor, both at 40 digits
+    zeros = {
+        "pair": lambda: _zeros(0.3 + 0.4j, -0.6 + 0.1j),
+        "rotated_radial": lambda: generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13),
+        "separated": lambda: random_zero_sequence(rng, 10),
+        "origin": lambda: _zeros(0, 0.99, -0.95j, 0.5 + 0.5j, -0.7 + 0.1j, 0.98j),
+    }[case]()
+    pts = zeros.points
+    got = conjugate_matrix(zeros)
+    with mpmath.workdps(40):
+        derivative = [row[-1] for row in mp_rung_derivatives(pts)]
+        mp_pts = [mpmath.mpc(complex(z)) for z in pts]
+        want = np.array([[complex(1 / (derivative[j] * (1 - zj * mpmath.conj(zk))))
+                          for j, zj in enumerate(mp_pts)] for zk in mp_pts])
+    # B'(z_j) carries the bound of test_rung_derivatives_match_mpmath, and the
+    # kernel factor its own cancellation, eps / |1 - z_j conj(z_k)| relative
+    # (measured: at most 0.38 of eps times this sum, on "pair")
+    derivative_cond = np.sum(1.0 + 1.0 / np.abs(1.0 - np.conj(pts)[None, :] * pts[:, None]), axis=1)
+    kernel_cond = 1.0 + 1.0 / np.abs(1.0 - pts[None, :] * np.conj(pts)[:, None])
+    err = np.abs(got - want) / np.abs(want)
+    assert np.all(err <= 4.0 * np.finfo(float).eps * (derivative_cond[None, :] + kernel_cond))
 
 
 def test_invert_conjugate_examples(rng):
