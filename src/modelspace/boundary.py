@@ -172,7 +172,7 @@ def h2_defect(f: BoundaryFunction) -> float:
 
 def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> None:
     d = h2_defect(f)
-    if d > tol:
+    if not d <= tol:  # NaN fails this too
         raise ValueError(f"{what} is not in H2 at tolerance {tol:g} (defect {d:.3e})")
 
 
@@ -188,7 +188,7 @@ def backward_shift(f: BoundaryFunction) -> BoundaryFunction:
 
 def _require_unimodular(theta: BoundaryFunction) -> None:
     dev = float(np.max(np.abs(np.abs(theta.samples) - 1.0)))
-    if dev > UNIMODULAR_TOL:
+    if not dev <= UNIMODULAR_TOL:  # NaN fails this too
         raise ValueError(f"theta is not unimodular on the grid (deviation {dev:.3e})")
 
 
@@ -226,7 +226,7 @@ def membership_defect(
     if space == "K2":
         if theta is None:
             raise ValueError("K2 membership needs theta")
-        return max(h2_defect(f), h2_defect(tilde(theta, f)))
+        return float(np.maximum(h2_defect(f), h2_defect(tilde(theta, f))))  # keeps NaN
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -257,18 +257,17 @@ def _arc_oscillation_max(samples: np.ndarray, length: int) -> float:
 
 def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> float:
     # max mean absolute deviation on the arcs of one length starting at the
-    # offsets; the same expression as _arc_oscillation_max, in chunks of at
+    # offsets; the same values as _arc_oscillation_max, in chunks of at
     # most 2^16 entries (1 MB) that stay in L2, each gathered copy centred in
     # place (the same w - mu operands, so the same deviations)
-    if not offsets.size:
-        return 0.0
     win = np.lib.stride_tricks.sliding_window_view(ext, length)
     step = max(1, (1 << 16) // length)
+    inv = 1.0 / length
     best = 0.0
     for lo in range(0, offsets.size, step):
         w = win[offsets[lo : lo + step]]
-        w -= w.mean(axis=1)[:, None]
-        best = max(best, float(np.abs(w).mean(axis=1).max()))
+        w -= (w.sum(axis=1) * inv)[:, None]
+        best = max(best, float(np.abs(w).sum(axis=1).max()) * inv)
     return best
 
 
@@ -291,6 +290,7 @@ def _sub_arc_bound(
     # most 2^16, the chunk size of _arc_oscillation_at.
     k = min(32, length // 4)
     sub = length // k
+    inv, inv_sub = 1.0 / length, 1.0 / sub
     M = (p2.size - 1) // 2
     span = sub * np.arange(k + 1)
     eps = np.finfo(float).eps
@@ -299,17 +299,17 @@ def _sub_arc_bound(
     for lo in range(0, offsets.size, step):
         idx = offsets[lo : lo + step, None] + span
         s1 = p1[idx]
-        mu = (s1[:, -1] - s1[:, 0]) / length
+        mu = (s1[:, -1] - s1[:, 0]) * inv
         mi = s1[:, 1:] - s1[:, :-1]
-        mi /= sub
+        mi *= inv_sub
         s2 = p2[idx]
         t = s2[:, 1:] - s2[:, :-1]
-        t /= sub
+        t *= inv_sub
         t -= mi.real**2 + mi.imag**2
         np.maximum(t, 0.0, out=t)
         mi -= mu[:, None]
         t += mi.real**2 + mi.imag**2
-        t += (16 * eps * (p2[-1] / sub + p2[M] / M + (mu.real**2 + mu.imag**2)))[:, None]
+        t += (16 * eps * (p2[-1] * inv_sub + p2[M] / M + (mu.real**2 + mu.imag**2)))[:, None]
         out[lo : lo + step] = np.sqrt(t, out=t).mean(axis=1)
     return out
 
@@ -337,7 +337,10 @@ def bmo_norm(f: BoundaryFunction) -> float:
     slacks, and it tends to the deviation where the samples are nearly
     constant on each sub-arc.  Only offsets above both bounds are
     evaluated exactly.  A skipped arc's deviation is at most one of its
-    bounds, hence at most the result.
+    bounds, hence at most the result.  Arc means, here and in the helpers,
+    multiply by 1/L and give the bits of dividing by L: numpy divides complex
+    by real L as a product with 1/(L + 0*0), and every arc and sub-arc length
+    is a power of two.
     """
     s = f.samples
     M = s.size
@@ -348,17 +351,22 @@ def bmo_norm(f: BoundaryFunction) -> float:
     p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
     lengths = 4 << np.arange(f.grid.m - 1)
     bound = np.empty((lengths.size, M))
-    for row, length in zip(bound, lengths):
-        mu = (p1[length : length + M] - p1[:M]) / length
-        var = (p2[length : length + M] - p2[:M]) / length - (mu.real**2 + mu.imag**2)
-        slack = 16 * np.finfo(float).eps * (p2[-1] / length + p2[M] / M)
-        np.sqrt(np.maximum(var, 0.0) + slack, out=row)
+    for row, length in zip(bound, lengths):  # each row built in place
+        inv = 1.0 / length
+        mu = (p1[length : length + M] - p1[:M]) * inv
+        np.subtract(p2[length : length + M], p2[:M], out=row)
+        row *= inv
+        row -= mu.real**2 + mu.imag**2
+        np.maximum(row, 0.0, out=row)
+        row += 16 * np.finfo(float).eps * (p2[-1] * inv + p2[M] / M)
+        np.sqrt(row, out=row)
     top, offset = divmod(int(bound.argmax()), M)
     best = _arc_oscillation_at(ext, int(lengths[top]), np.array([offset]))
     for row, length in zip(bound, lengths):
         offsets = np.flatnonzero(row > best)
-        offsets = offsets[_sub_arc_bound(p1, p2, int(length), offsets) > best]
-        best = max(best, _arc_oscillation_at(ext, int(length), offsets))
+        if offsets.size:
+            offsets = offsets[_sub_arc_bound(p1, p2, int(length), offsets) > best]
+            best = max(best, _arc_oscillation_at(ext, int(length), offsets))
     return abs(mean) + best
 
 

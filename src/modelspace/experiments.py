@@ -30,7 +30,7 @@ from .boundary import (
 )
 from .classify import DecayVerdict, log_growth_check
 from .core import ValueSequence, ZeroSequence
-from .interp import _TABLE_ENTRIES, _lagrange_eval, cauchy_eval
+from .interp import _TABLE_ENTRIES, _lagrange_eval, _polar_lattice_eval, cauchy_eval
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
@@ -267,6 +267,8 @@ def exp_sublevel(
     circle, restricted to the points where |B| < eps.  For f in the model
     space of B the interior sup tracks the boundary sup; the report also
     carries the oscillation norm of conj(B) f for the pairing study.
+    Each lattice circle is one inverse FFT of the spectrum weighted by r**n
+    and folded modulo SUBLEVEL_ANGLES, evaluated whole before the masking.
     """
     if n_radial < 1:
         raise ValueError("n_radial must be at least 1")
@@ -294,8 +296,8 @@ def exp_sublevel(
         result.warnings.append(msg)
         sub_sup = 0.0
     else:
-        inside = cauchy_eval(f, lattice[mask], tol=1e-2)
-        sub_sup = float(np.abs(inside).max())
+        circles = _polar_lattice_eval(f, radii, SUBLEVEL_ANGLES, tol=1e-2)
+        sub_sup = float(np.abs(circles.reshape(-1)[mask]).max())
     boundary_sup = lp_norm(f, math.inf)
 
     theta = product.sample(f.grid)

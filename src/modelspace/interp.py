@@ -28,6 +28,14 @@ _TABLE_ENTRIES = 1 << 17
 MAX_CONDITION = 1e12
 
 
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    # x**0, ..., x**(count - 1) for each entry of the column x, as running
+    # products: x**n carries the n-step rounding of Horner's rule
+    out = np.ones((x.shape[0], count), dtype=x.dtype)
+    out[:, 1:] = x
+    return np.cumprod(out, axis=1, out=out)
+
+
 def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     """Evaluate an H2 boundary function in the closed disk.
 
@@ -57,14 +65,26 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     step = max(1, _TABLE_ENTRIES // G)
     for lo in range(0, flat.size, step):
         zc = flat[lo : lo + step, None]
-        baby = np.ones((zc.size, K), dtype=complex)
-        baby[:, 1:] = zc
-        np.cumprod(baby, axis=1, out=baby)  # z**b
-        giant = np.ones((zc.size, G), dtype=complex)
-        giant[:, 1:] = baby[:, -1:] * zc
-        np.cumprod(giant, axis=1, out=giant)  # (z**K)**a
+        baby = _powers(zc, K)  # z**b
+        giant = _powers(baby[:, -1:] * zc, G)  # (z**K)**a
         out[lo : lo + step] = np.sum((baby @ blocks) * giant, axis=1)
     return out.reshape(z.shape) if z.shape else complex(out[0])
+
+
+def _polar_lattice_eval(f: BoundaryFunction, radii: np.ndarray, angles: int, tol: float):
+    # cauchy_eval at radii[i] exp(2 pi i k / angles) for every k < angles, as
+    # rows [i, k].  With n = b angles + a, row i is the unscaled inverse FFT
+    # over a of r**a sum_b c[b angles + a] (r**angles)**b: one product with the
+    # spectrum zero-padded to whole folds of `angles` modes, one FFT per circle
+    _require_h2(f, "cauchy_eval input", tol)
+    half = f.grid.size // 2
+    folded = np.zeros(-(-half // angles) * angles, dtype=complex)
+    folded[:half] = f.spectrum[:half]
+    folded = folded.reshape(-1, angles)
+    r = radii[:, None]
+    baby = _powers(r, angles)  # r**a
+    giant = _powers(baby[:, -1:] * r, folded.shape[0])  # (r**angles)**b
+    return np.fft.ifft((giant @ folded) * baby, axis=1, norm="forward")
 
 
 def trace(f, zeros: ZeroSequence) -> ValueSequence:

@@ -52,6 +52,52 @@ def kernel_combination(grid, points, coeffs):
     return BoundaryFunction(grid, samples)
 
 
+def arc_oscillation_divided(ext, length, offsets):
+    """Largest mean absolute deviation on the arcs of one length at the
+    offsets, with every mean a division by the length and in 2^18-entry
+    chunks: the exact-arc form of bmo_norm before cache-sized chunks and
+    reciprocal products."""
+    win = np.lib.stride_tricks.sliding_window_view(ext, length)
+    step = max(1, (1 << 18) // length)
+    best = 0.0
+    for lo in range(0, offsets.size, step):
+        w = win[offsets[lo : lo + step]]
+        mu = w.mean(axis=1)
+        dev = np.abs(w - mu[:, None]).mean(axis=1)
+        best = max(best, float(dev.max()))
+    return best
+
+
+def rms_pruned_bmo(f, exact):
+    """bmo_norm before the sub-arc bound, in its division form: the RMS bound
+    alone picks the arcs that exact(ext, length, offsets) evaluates."""
+    s = f.samples
+    M = s.size
+    mean = complex(np.mean(s))
+    ext = np.concatenate([s, s])
+    c = ext - mean
+    p1 = np.concatenate([[0.0], np.cumsum(c)])
+    p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
+    lengths = 4 << np.arange(f.grid.m - 1)
+    bound = np.empty((lengths.size, M))
+    for row, length in zip(bound, lengths):
+        mu = (p1[length : length + M] - p1[:M]) / length
+        var = (p2[length : length + M] - p2[:M]) / length - (mu.real**2 + mu.imag**2)
+        slack = 16 * np.finfo(float).eps * (p2[-1] / length + p2[M] / M)
+        np.sqrt(np.maximum(var, 0.0) + slack, out=row)
+    top, offset = divmod(int(bound.argmax()), M)
+    best = exact(ext, int(lengths[top]), np.array([offset]))
+    for row, length in zip(bound, lengths):
+        offsets = np.flatnonzero(row > best)
+        best = max(best, exact(ext, int(length), offsets))
+    return abs(mean) + best
+
+
+def division_form_bmo(f):
+    """bmo_norm's value with every arc mean a division by the arc length."""
+    return rms_pruned_bmo(f, arc_oscillation_divided)
+
+
 def transient_peak(fn) -> int:
     """Bytes allocated at the peak of fn() beyond what was live when it started."""
     tracing = tracemalloc.is_tracing()

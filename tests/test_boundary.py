@@ -7,18 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import kernel_combination, random_zero_sequence, transient_peak
+from conftest import (
+    arc_oscillation_divided,
+    division_form_bmo,
+    kernel_combination,
+    random_zero_sequence,
+    rms_pruned_bmo,
+    transient_peak,
+)
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    InterpolantRepresentation,
     SmoothnessDescriptor,
     ZeroSequence,
     backward_shift,
     bmo_norm,
     bmo_norm_exhaustive,
     cauchy_eval,
+    exp_nonduality,
     exp_noninterpolation,
+    exp_sublevel,
     generate_sequence,
     h2_defect,
     inner,
@@ -399,6 +409,7 @@ def test_bmo_pruned_matches_dyadic_scan_property(data, m, offset, amplitude):
     f = BoundaryFunction(BoundaryGrid(m), offset + amplitude * (re + 1j * im))
     expected = _dyadic_scan(f)
     assert abs(bmo_norm(f) - expected) <= 1e-12 * expected
+    assert bmo_norm(f) == division_form_bmo(f)
 
 
 def test_bmo_rms_bound_keeps_its_rounding_slack():
@@ -407,19 +418,6 @@ def test_bmo_rms_bound_keeps_its_rounding_slack():
     t = np.arange(1 << 10)
     f = BoundaryFunction(BoundaryGrid(10), 1.0 + 1j**t)
     assert bmo_norm(f) == _dyadic_scan(f) == 2.000000000000001
-
-
-def _arc_oscillation_at_unchunked(ext, length, offsets):
-    # the form before cache-sized chunks: 2^18-entry chunks, fresh temporaries
-    win = np.lib.stride_tricks.sliding_window_view(ext, length)
-    step = max(1, (1 << 18) // length)
-    best = 0.0
-    for lo in range(0, offsets.size, step):
-        w = win[offsets[lo : lo + step]]
-        mu = w.mean(axis=1)
-        dev = np.abs(w - mu[:, None]).mean(axis=1)
-        best = max(best, float(dev.max()))
-    return best
 
 
 @pytest.mark.parametrize("name", ["normal_m12", "offset_1e8_noise_1e-3"])
@@ -432,7 +430,7 @@ def test_arc_oscillation_chunks_bit_identical_to_unchunked_form(name):
         step = max(1, (1 << 16) // length)
         for count in (0, 1, step - 1, step, step + 1, 3 * step + 5):
             offsets = rng.integers(0, s.size, size=count)
-            expected = _arc_oscillation_at_unchunked(ext, length, offsets)
+            expected = arc_oscillation_divided(ext, length, offsets)
             assert _arc_oscillation_at(ext, length, offsets) == expected
 
 
@@ -457,7 +455,7 @@ def test_bmo_bit_identical_to_unchunked_form(monkeypatch, angle_step):
     inputs = _noninterpolation_bmo_inputs(angle_step)
     assert len(inputs) == 5
     values = [bmo_norm(f) for f in inputs]
-    monkeypatch.setattr(boundary, "_arc_oscillation_at", _arc_oscillation_at_unchunked)
+    monkeypatch.setattr(boundary, "_arc_oscillation_at", arc_oscillation_divided)
     assert values == [bmo_norm(f) for f in inputs]
 
 
@@ -472,26 +470,7 @@ def test_bmo_transient_memory_is_cache_sized():
 def _rms_pruned_bmo(f):
     # bmo_norm before the sub-arc bound: the RMS bound alone picks the arcs
     # that are evaluated exactly
-    s = f.samples
-    M = s.size
-    mean = complex(np.mean(s))
-    ext = np.concatenate([s, s])
-    c = ext - mean
-    p1 = np.concatenate([[0.0], np.cumsum(c)])
-    p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
-    lengths = 4 << np.arange(f.grid.m - 1)
-    bound = np.empty((lengths.size, M))
-    for row, length in zip(bound, lengths):
-        mu = (p1[length : length + M] - p1[:M]) / length
-        var = (p2[length : length + M] - p2[:M]) / length - (mu.real**2 + mu.imag**2)
-        slack = 16 * np.finfo(float).eps * (p2[-1] / length + p2[M] / M)
-        np.sqrt(np.maximum(var, 0.0) + slack, out=row)
-    top, offset = divmod(int(bound.argmax()), M)
-    best = boundary._arc_oscillation_at(ext, int(lengths[top]), np.array([offset]))
-    for row, length in zip(bound, lengths):
-        offsets = np.flatnonzero(row > best)
-        best = max(best, boundary._arc_oscillation_at(ext, int(length), offsets))
-    return abs(mean) + best
+    return rms_pruned_bmo(f, boundary._arc_oscillation_at)
 
 
 @functools.cache
@@ -534,6 +513,43 @@ def test_bmo_sub_arc_bound_cuts_exact_evaluations(monkeypatch):
     assert 0 < 3 * with_sub_arcs <= rms_only
 
 
+# angle steps of the trend workload's inputs: its baseline 0, the ends of
+# its seeded range [0.05, 0.5], and three between
+TREND_STEPS = (0.0, 0.05, 0.13, 0.37, 0.45, 0.5)
+
+
+def _pipeline_bmo_inputs(angle_step, q=0.7, m=12):
+    # every input bmo_norm gets from the nonduality and noninterpolation
+    # ladders for n = 12 radial zeros and, at m = 12, from the sublevel
+    # pairing of the CLI's mean kernel; the defaults are the trend op's
+    from modelspace import experiments
+
+    captured = []
+    zeros = generate_sequence("rotated_radial", q=q, n=12, angle_step=angle_step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "bmo_norm", lambda f: captured.append(f) or 0.0)
+        exp_nonduality(zeros, m=m)
+        exp_noninterpolation(zeros, m=m)
+        if m == 12:
+            kernel = InterpolantRepresentation(zeros, np.full(12, 1.0 / 12), "kernel_basis")
+            exp_sublevel(zeros, kernel.sample(BoundaryGrid(m)))
+    return captured
+
+
+@pytest.mark.parametrize("angle_step", TREND_STEPS)
+def test_bmo_reciprocal_means_keep_the_trend_values(angle_step):
+    inputs = _pipeline_bmo_inputs(angle_step)
+    assert len(inputs) == 11
+    assert [bmo_norm(f) for f in inputs] == [division_form_bmo(f) for f in inputs]
+
+
+def test_bmo_reciprocal_means_keep_the_deep_ladders():
+    # the ten ladder inputs of q = 0.5, n = 12 at m = 17 (resolution margin 32)
+    inputs = _pipeline_bmo_inputs(0.0, q=0.5, m=17)
+    assert [f.grid.m for f in inputs] == [17] * 10
+    assert [bmo_norm(f) for f in inputs] == [division_form_bmo(f) for f in inputs]
+
+
 def test_membership_defect_examples():
     grid = _grid()
     zbar = BoundaryFunction.from_callable(grid, np.conj)
@@ -550,6 +566,27 @@ def test_membership_defect_examples():
         membership_defect(poly, "K2")
     with pytest.raises(ValueError):
         membership_defect(poly, "L2")
+
+
+def test_nan_samples_fail_the_boundary_checks():
+    # one NaN sample used to pass both checks (NaN > tol is False): the
+    # projection and the Cauchy evaluation returned NaN, and the K2 defect
+    # of a NaN theta read 0, a perfect member
+    grid = _grid(6)
+    theta = BlaschkeProduct(ZeroSequence([0.5])).sample(grid)
+    f = kernel_combination(grid, [0.5], [1.0])
+    hole = np.arange(grid.size) == 3
+    theta_nan = BoundaryFunction(grid, np.where(hole, np.nan, theta.samples))
+    f_nan = BoundaryFunction(grid, np.where(hole, np.nan, f.samples))
+    with pytest.raises(ValueError, match="not unimodular"):
+        model_project(theta_nan, f)
+    with pytest.raises(ValueError, match="not in H2"):
+        model_project(theta, f_nan)
+    with pytest.raises(ValueError, match="not in H2"):
+        cauchy_eval(f_nan, 0.1)
+    with pytest.raises(ValueError, match="not unimodular"):
+        membership_defect(f, "K2", theta_nan)
+    assert math.isnan(membership_defect(f_nan, "K2", theta))
 
 
 def test_backward_shift_keeps_model_space(rng):

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 import modelspace.experiments
-from conftest import mp_rung_derivatives, random_zero_sequence
+from conftest import division_form_bmo, mp_rung_derivatives, random_zero_sequence
 from modelspace import blaschke
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    InterpolantRepresentation,
     ValueSequence,
     ZeroSequence,
     bmo_norm,
+    cauchy_eval,
     conjugate_sequence,
     exp_dichotomy,
     exp_nonduality,
@@ -27,8 +29,14 @@ from modelspace import (
     log_samples,
     lp_norm,
     riesz_project,
+    sublevel_indicator,
 )
-from modelspace.experiments import _log_projection, _truncation_ladder
+from modelspace.experiments import (
+    SUBLEVEL_ANGLES,
+    SUBLEVEL_DEPTH,
+    _log_projection,
+    _truncation_ladder,
+)
 
 
 def _series(result, label):
@@ -331,6 +339,39 @@ def test_sublevel_warns_when_lattice_misses():
     with pytest.warns(UserWarning):
         result = exp_sublevel(zeros, f, eps=1e-6)
     assert result.warnings
+
+
+def test_sublevel_rejects_input_outside_h2():
+    # conj(z) + 0.1 z carries 99% of its energy on mode -1; the polar lattice
+    # meets |B| < 0.5 around the zero, so the H2 check at 1e-2 runs
+    grid = BoundaryGrid(10)
+    f = BoundaryFunction.from_callable(grid, lambda z: np.conj(z) + 0.1 * z)
+    with pytest.raises(ValueError, match="cauchy_eval input is not in H2 at tolerance 0.01"):
+        exp_sublevel(ZeroSequence([0.5]), f)
+
+
+# lattice points in {|B| < 0.5} for the trend op's sublevel input (q = 0.7,
+# n = 12 radial zeros at m = 12) at each angle step, as cauchy_eval counted them
+_TREND_SUBLEVEL_HITS = {0.0: 1787, 0.05: 1846, 0.13: 2045, 0.37: 2482, 0.45: 2573, 0.5: 2664}
+
+
+@pytest.mark.parametrize("angle_step", list(_TREND_SUBLEVEL_HITS))
+def test_sublevel_lattice_route_keeps_the_trend_values(angle_step):
+    # against the pointwise route: cauchy_eval on the masked lattice, and the
+    # pairing norm in bmo_norm's division form
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=angle_step)
+    product, grid = BlaschkeProduct(zeros), BoundaryGrid(12)
+    f = InterpolantRepresentation(zeros, np.full(12, 1.0 / 12), "kernel_basis").sample(grid)
+    result = exp_sublevel(zeros, f)
+    gaps = np.geomspace(0.5, SUBLEVEL_DEPTH, 48)
+    angles = 2.0 * math.pi * np.arange(SUBLEVEL_ANGLES) / SUBLEVEL_ANGLES
+    lattice = ((1.0 - gaps)[:, None] * np.exp(1j * angles[None, :])).reshape(-1)
+    inside = lattice[sublevel_indicator(product, 0.5, lattice)]
+    expected_sup = float(np.abs(cauchy_eval(f, inside, tol=1e-2)).max())
+    assert result.parameters["lattice_points_in_sublevel"] == inside.size
+    assert inside.size == _TREND_SUBLEVEL_HITS[angle_step]
+    assert abs(_series(result, "sublevel_sup")[0] - expected_sup) <= 1e-13 * expected_sup
+    assert _series(result, "pairing_bmo") == [division_form_bmo(product.sample(grid).conj() * f)]
 
 
 @pytest.mark.parametrize("n_radial", [0, -1])

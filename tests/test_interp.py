@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import modelspace.experiments
 import modelspace.interp
 from conftest import kernel_combination, mp_rung_derivatives, random_zero_sequence, transient_peak
 from modelspace import (
@@ -17,7 +16,6 @@ from modelspace import (
     conjugate_sequence,
     eval_product,
     exp_dichotomy,
-    exp_sublevel,
     generate_sequence,
     invert_conjugate,
     kernel_interpolant,
@@ -28,7 +26,9 @@ from modelspace import (
     residue_identity_check,
     trace,
 )
-from modelspace.blaschke import all_derivatives
+from modelspace.blaschke import all_derivatives, sublevel_indicator
+from modelspace.experiments import SUBLEVEL_ANGLES, SUBLEVEL_DEPTH
+from modelspace.interp import _polar_lattice_eval
 
 
 def _zeros(*points):
@@ -89,21 +89,42 @@ def _disk_points(rng, count):
     return np.concatenate([pts, np.exp(2j * np.pi * rng.uniform(size=4))])
 
 
-def test_cauchy_eval_matches_horner_on_sublevel_lattice(monkeypatch):
-    # the points exp_sublevel evaluates for q = 0.7, n = 12 at m = 12 (CLI defaults)
-    calls = []
+def _sublevel_radii():
+    # exp_sublevel's 48 default radii, geometrically refined toward the circle
+    return 1.0 - np.geomspace(0.5, SUBLEVEL_DEPTH, 48)
 
-    def recording(f, z, tol):
-        calls.append((f, z))
-        return cauchy_eval(f, z, tol=tol)
 
-    monkeypatch.setattr(modelspace.experiments, "cauchy_eval", recording)
+def test_cauchy_eval_matches_horner_on_sublevel_lattice():
+    # the masked polar lattice of exp_sublevel for q = 0.7, n = 12 at m = 12
+    # (CLI defaults)
+    angles = 2.0 * np.pi * np.arange(SUBLEVEL_ANGLES) / SUBLEVEL_ANGLES
+    lattice = (_sublevel_radii()[:, None] * np.exp(1j * angles[None, :])).reshape(-1)
     zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.0)
+    lattice = lattice[sublevel_indicator(BlaschkeProduct(zeros), 0.5, lattice)]
     f = kernel_combination(BoundaryGrid(12), zeros.points, np.full(12, 1.0 / 12))
-    exp_sublevel(zeros, f)
-    [(seen, lattice)] = calls
-    assert seen is f and lattice.size > 1000
+    assert lattice.size > 1000
     _assert_matches_horner(f, lattice)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("m", [8, 10, 12, 17])
+def test_polar_lattice_eval_matches_horner(m, offset):
+    # every point of exp_sublevel's lattice, for the inputs of the sublevel
+    # and nonduality pipelines (the CLI's mean kernel, the projected log);
+    # M/2 < SUBLEVEL_ANGLES at m = 8, where the spectrum is zero-padded to one
+    # fold.  Random unit coefficients would not do: near the circle their sum
+    # moves by 3e-12 relative under the rounding of the points exp(2 pi i k/A)
+    grid, radii = BoundaryGrid(m, offset), _sublevel_radii()
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.0)
+    if offset:
+        f = log_samples(grid)
+    else:
+        f = kernel_combination(grid, zeros.points, np.full(12, 1.0 / 12))
+    got = _polar_lattice_eval(f, radii, SUBLEVEL_ANGLES, tol=1e-2)
+    k = np.arange(SUBLEVEL_ANGLES)
+    expected = _horner(f, radii[:, None] * np.exp(2j * np.pi * k / SUBLEVEL_ANGLES))
+    assert got.shape == expected.shape == (48, SUBLEVEL_ANGLES)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_cauchy_eval_matches_horner_deep_grid():
