@@ -347,19 +347,23 @@ import sys
 import modelspace, modelspace.cli
 loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert loaded() == [], loaded()
+assert modelspace.cli.main(["--grid-log2", "8", "experiment", "--name", "noninterpolation",
+                            "--radial-q", "0.7", "--n", "4", "--out", sys.argv[1]]) == 0
+assert loaded() == [], loaded()
 assert modelspace.cli.main(["--grid-log2", "8", "diagnose", "--radial-q", "0.5", "--n", "4",
-                            "--out", sys.argv[1]]) == 0
+                            "--out", sys.argv[2]]) == 0
 assert loaded() == [], loaded()
 value = modelspace.kernel_l1_quadrature(0.5)
-assert "scipy.integrate" in sys.modules
+assert loaded() == [], loaded()
 print(repr(value))
 """
 
 
 def test_import_loads_no_scipy_until_quadrature(tmp_path):
-    # a fresh interpreter: the package and a full CLI run load no scipy module;
-    # the first quadrature call imports scipy.integrate and gives the same value
-    run = _run_python("-c", _SCIPY_PROBE, str(tmp_path / "d.json"))
+    # a fresh interpreter: the package, a full noninterpolation run (the one
+    # pipeline that reports kernel norms), a diagnose run and the kernel norm
+    # itself load no scipy module, and the norm is the in-process value
+    run = _run_python("-c", _SCIPY_PROBE, str(tmp_path / "e.json"), str(tmp_path / "d.json"))
     assert run.returncode == 0, run.stderr
     assert float(run.stdout) == experiments.kernel_l1_quadrature(0.5)
 

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import modelspace.experiments
 from conftest import division_form_bmo, mp_rung_derivatives, random_zero_sequence
@@ -398,6 +399,32 @@ def test_quadrature_matches_mpmath_closed_form(r):
         want = 2 * mpmath.ellipk(k**2) / (mpmath.pi * (1 + rr))
         err = abs((kernel_l1_quadrature(r) - want) / want)
     assert err <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "r", [0.0, 0.3, 0.9, 0.99, 1 - 0.7**12, 1 - 0.5**13, 1 - 2.0**-18, 1 - 1e-12]
+)
+def test_closed_form_matches_kernel_integral(r):
+    # the integral (1/pi) int_0^pi dt / sqrt((1 - r)^2 + 4 r sin^2(t/2)) that
+    # kernel_l1_quadrature used to integrate adaptively, by that scipy call
+    # verbatim and by mpmath.quad at 30 digits; measured worst cases 3.5e-15
+    # (scipy, at r = 1 - 0.7**12, the trend workload's outermost zero) and
+    # 1.4e-16 (mpmath, at r = 0.3) relative
+    val, _ = quad(
+        lambda t: 1.0 / math.sqrt((1.0 - r) ** 2 + 4.0 * r * math.sin(t / 2.0) ** 2),
+        0.0,
+        math.pi,
+        limit=400,
+    )
+    closed = kernel_l1_quadrature(r)
+    assert abs(val / math.pi - closed) <= 1e-13 * closed
+    with mpmath.workdps(30):
+        rr = mpmath.mpf(r)
+        want = mpmath.quad(
+            lambda t: 1 / mpmath.sqrt((1 - rr) ** 2 + 4 * rr * mpmath.sin(t / 2) ** 2),
+            [0, mpmath.pi],
+        ) / mpmath.pi
+        assert abs((closed - want) / want) <= 1e-14
 
 
 def test_log_samples_requires_offset():
