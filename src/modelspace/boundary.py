@@ -314,6 +314,38 @@ def _sub_arc_bound(
     return out
 
 
+def _rms_bound_row(p1: np.ndarray, p2: np.ndarray, length: int) -> np.ndarray:
+    # bmo_norm's first bound on the arcs of one length at every offset: the
+    # RMS deviation from the prefix sums, plus its rounding slack
+    M = (p2.size - 1) // 2
+    inv = 1.0 / length
+    mu = (p1[length : length + M] - p1[:M]) * inv
+    row = np.subtract(p2[length : length + M], p2[:M])
+    row *= inv
+    row -= mu.real**2 + mu.imag**2
+    np.maximum(row, 0.0, out=row)
+    row += 16 * np.finfo(float).eps * (p2[-1] * inv + p2[M] / M)
+    return np.sqrt(row, out=row)
+
+
+def _scan_length(ext, p1, p2, length: int, row: np.ndarray, best: float) -> float:
+    # the running maximum after the arcs of one length: those above both
+    # bounds are evaluated exactly, largest sub-arc bound first, in chunks of
+    # 8, 16, 32, ... offsets, until the next bound is at or below the maximum
+    offsets = np.flatnonzero(row > best)
+    if not offsets.size:
+        return best
+    bound = _sub_arc_bound(p1, p2, length, offsets)
+    order = np.argsort(-bound)
+    offsets, bound = offsets[order], bound[order]
+    done, size = 0, 8
+    while done < (alive := int(np.count_nonzero(bound > best))):
+        stop = min(done + size, alive)
+        best = max(best, _arc_oscillation_at(ext, length, offsets[done:stop]))
+        done, size = stop, 2 * size
+    return best
+
+
 def bmo_norm(f: BoundaryFunction) -> float:
     """Mean-oscillation norm estimate |mean| + max over dyadic arcs.
 
@@ -322,25 +354,36 @@ def bmo_norm(f: BoundaryFunction) -> float:
     of comparable length, so the estimate is within a bounded factor of
     the all-arcs value (the exhaustive scan is available separately).
 
-    The scan is exact and pruned by two bounds: it returns the same value
-    as computing the mean absolute deviation of every dyadic arc.  By
+    The scan is exact and pruned by bounds: it returns the same value as
+    computing the mean absolute deviation of every dyadic arc.  By
     Cauchy-Schwarz an arc's mean absolute deviation is at most its RMS
     deviation, which prefix sums of the centred samples c = s - mean(s)
     give for every arc in O(1); a rounding slack of 16 eps (sum of |c|^2
     over the doubled array / L + mean |c|^2) on each variance keeps the
-    bound above the deviation under cancellation.  The running maximum
-    starts at the exact deviation of the arc with the largest RMS bound;
-    one pass over the lengths then takes the offsets whose RMS bound
-    exceeds it and bounds those arcs again, from the same prefix sums, by
-    Jensen on k = min(32, L/4) equal sub-arcs (see _sub_arc_bound).  By
-    concavity of sqrt that bound is at most the RMS bound, up to the
-    slacks, and it tends to the deviation where the samples are nearly
-    constant on each sub-arc.  Only offsets above both bounds are
-    evaluated exactly.  A skipped arc's deviation is at most one of its
-    bounds, hence at most the result.  Arc means, here and in the helpers,
-    multiply by 1/L and give the bits of dividing by L: numpy divides complex
-    by real L as a product with 1/(L + 0*0), and every arc and sub-arc length
-    is a power of two.
+    bound above the deviation under cancellation.  The RMS rows of the
+    lengths L >= 128, and always of L = M, are built first, and the
+    running maximum starts at the exact deviation of the arc with the
+    largest of their bounds.  The lengths are then taken from the longest
+    down.  A shorter row is built only if the enclosing-arc bound allows
+    an arc above the running maximum: with L2 >= 2L the nearest built
+    length, every arc of length L starting in [jL, (j+1)L) lies inside the
+    dyadic arc of length L2 at jL, and the mean minimises the mean square,
+    so its RMS deviation is at most sqrt(L2/L) times that arc's, and the
+    largest of these over j (rounded up by 8 eps) bounds the whole row.
+    Scaled by L2/L >= 2, the variance slack of row L2 is at least that of
+    row L, whose rounding it covers.  On each length the offsets whose RMS
+    bound exceeds the maximum are bounded again, from the same prefix
+    sums, by Jensen on k = min(32, L/4) equal sub-arcs (see
+    _sub_arc_bound).  By concavity of sqrt that bound is at most the RMS
+    bound, up to the slacks, and it tends to the deviation where the
+    samples are nearly constant on each sub-arc.  The offsets above both
+    bounds are evaluated exactly best-first, largest sub-arc bound first in
+    doubling chunks, until the next bound is at or below the running
+    maximum.  A skipped arc's deviation is at most one of its bounds, hence
+    at most the result.  Arc means, here and in the helpers, multiply by
+    1/L and give the bits of dividing by L: numpy divides complex by real L
+    as a product with 1/(L + 0*0), and every arc and sub-arc length is a
+    power of two.
     """
     s = f.samples
     M = s.size
@@ -349,24 +392,18 @@ def bmo_norm(f: BoundaryFunction) -> float:
     c = ext - mean
     p1 = np.concatenate([[0.0], np.cumsum(c)])
     p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
-    lengths = 4 << np.arange(f.grid.m - 1)
-    bound = np.empty((lengths.size, M))
-    for row, length in zip(bound, lengths):  # each row built in place
-        inv = 1.0 / length
-        mu = (p1[length : length + M] - p1[:M]) * inv
-        np.subtract(p2[length : length + M], p2[:M], out=row)
-        row *= inv
-        row -= mu.real**2 + mu.imag**2
-        np.maximum(row, 0.0, out=row)
-        row += 16 * np.finfo(float).eps * (p2[-1] * inv + p2[M] / M)
-        np.sqrt(row, out=row)
-    top, offset = divmod(int(bound.argmax()), M)
-    best = _arc_oscillation_at(ext, int(lengths[top]), np.array([offset]))
-    for row, length in zip(bound, lengths):
-        offsets = np.flatnonzero(row > best)
-        if offsets.size:
-            offsets = offsets[_sub_arc_bound(p1, p2, int(length), offsets) > best]
-            best = max(best, _arc_oscillation_at(ext, int(length), offsets))
+    lengths = [M >> k for k in range(f.grid.m - 1)]  # M, M/2, ..., 4
+    rows = {L: _rms_bound_row(p1, p2, L) for L in lengths if L >= 128 or L == M}
+    top = max(rows, key=lambda L: rows[L].max())
+    best = _arc_oscillation_at(ext, top, rows[top].argmax(keepdims=True))
+    round_up = 1.0 + 8 * np.finfo(float).eps
+    for length in lengths:
+        if length not in rows:
+            outer = min(L for L in rows if L >= 2 * length)
+            if rows[outer][::length].max() * math.sqrt(outer / length) * round_up <= best:
+                continue
+            rows[length] = _rms_bound_row(p1, p2, length)
+        best = _scan_length(ext, p1, p2, length, rows[length], best)
     return abs(mean) + best
 
 

@@ -550,6 +550,80 @@ def test_bmo_reciprocal_means_keep_the_deep_ladders():
     assert [bmo_norm(f) for f in inputs] == [division_form_bmo(f) for f in inputs]
 
 
+def _counting_rows(monkeypatch):
+    # the lengths whose RMS rows bmo_norm builds, in the order it builds them
+    built = []
+    build = boundary._rms_bound_row
+
+    def counting(p1, p2, length):
+        built.append(length)
+        return build(p1, p2, length)
+
+    monkeypatch.setattr(boundary, "_rms_bound_row", counting)
+    return built
+
+
+@pytest.mark.parametrize("m", [6, 9, 12])
+def test_bmo_short_arc_maximum_builds_every_row(monkeypatch, m):
+    # one sharp spike on faint noise: the largest deviation sits on an arc of
+    # length 4, and each enclosing-arc bound, about 1e3 / sqrt(L), is above
+    # the running maximum, about 1e3 / L, when row L is decided
+    s = 1e-6 * _normal(m, 3)
+    s[5] += 1e3
+    f = BoundaryFunction(BoundaryGrid(m), s)
+    built = _counting_rows(monkeypatch)
+    value = bmo_norm(f)
+    assert sorted(built) == [4 << k for k in range(m - 1)]
+    short = max(_arc_oscillation_max(s, length) for length in (4, 8, 16))
+    assert value == abs(complex(np.mean(s))) + short
+    assert value == division_form_bmo(f)
+    if m <= 9:
+        assert value == _dyadic_scan(f)
+
+
+def test_bmo_skips_rows_on_the_trend_coanalytic_parts(monkeypatch):
+    # the co-analytic rungs n = 4 and 12 at four angle steps: every input but
+    # (step 0, n = 12) leaves 1 to 4 of its 11 rows unbuilt
+    built = _counting_rows(monkeypatch)
+    counts = []
+    for step in (0.0, 0.13, 0.37, 0.5):
+        for n in (4, 12):
+            f = _coanalytic_rung(step, n)
+            built.clear()
+            assert bmo_norm(f) == division_form_bmo(f)
+            assert 4096 in built and len(set(built)) == len(built)
+            counts.append(len(built))
+    assert counts == [8, 11, 7, 8, 7, 7, 7, 10]
+
+
+@pytest.mark.parametrize("angle_step, parent_count", [(0.13, 478), (0.37, 501)])
+def test_bmo_best_first_cuts_exact_evaluations(monkeypatch, angle_step, parent_count):
+    # exact arcs over the five trend interpolants at one angle step; the scan
+    # that evaluated every survivor of both bounds in offset order took
+    # parent_count, and the best-first scan takes 76 and 212
+    evaluated = []
+    exact = boundary._arc_oscillation_at
+
+    def counting(ext, length, offsets):
+        evaluated.append(offsets.size)
+        return exact(ext, length, offsets)
+
+    inputs = _noninterpolation_bmo_inputs(angle_step)
+    monkeypatch.setattr(boundary, "_arc_oscillation_at", counting)
+    values = [bmo_norm(f) for f in inputs]
+    assert 0 < sum(evaluated) < parent_count
+    assert values == [division_form_bmo(f) for f in inputs]
+
+
+def test_bmo_keeps_the_deep_values_at_a_nonzero_angle_step():
+    # rungs 4 and 12 of exp_noninterpolation at q = 0.5, n = 12, m = 17,
+    # angle step 0.13, where thousands of arcs of length M/4 survive both bounds
+    inputs = _noninterpolation_bmo_inputs(0.13, q=0.5, m=17)
+    assert [f.grid.m for f in inputs] == [17] * 5
+    for f in (inputs[0], inputs[-1]):
+        assert bmo_norm(f) == _rms_pruned_bmo(f)
+
+
 def test_membership_defect_examples():
     grid = _grid()
     zbar = BoundaryFunction.from_callable(grid, np.conj)
