@@ -259,8 +259,9 @@ def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> fl
     # max mean absolute deviation on the arcs of one length starting at the
     # offsets; the same values as _arc_oscillation_max, in chunks of at
     # most 2^16 entries (1 MB) that stay in L2, each gathered copy centred in
-    # place (the same w - mu operands, so the same deviations)
-    win = np.lib.stride_tricks.sliding_window_view(ext, length)
+    # place (the same w - mu operands, so the same deviations); win is the
+    # sliding-window view of the contiguous ext, without sliding_window_view's checks
+    win = np.ndarray((ext.size - length + 1, length), ext.dtype, ext, strides=2 * ext.strides)
     step = max(1, (1 << 16) // length)
     inv = 1.0 / length
     best = 0.0
@@ -319,10 +320,12 @@ def _rms_bound_row(p1: np.ndarray, p2: np.ndarray, length: int) -> np.ndarray:
     # RMS deviation from the prefix sums, plus its rounding slack
     M = (p2.size - 1) // 2
     inv = 1.0 / length
-    mu = (p1[length : length + M] - p1[:M]) * inv
+    mu = np.subtract(p1[length : length + M], p1[:M])
+    mu *= inv
     row = np.subtract(p2[length : length + M], p2[:M])
     row *= inv
-    row -= mu.real**2 + mu.imag**2
+    np.square(mu.view(float), out=mu.view(float))  # mu.real**2 and mu.imag**2, in place
+    row -= mu.real + mu.imag
     np.maximum(row, 0.0, out=row)
     row += 16 * np.finfo(float).eps * (p2[-1] * inv + p2[M] / M)
     return np.sqrt(row, out=row)
@@ -390,8 +393,10 @@ def bmo_norm(f: BoundaryFunction) -> float:
     mean = complex(np.mean(s))
     ext = np.concatenate([s, s])
     c = ext - mean
-    p1 = np.concatenate([[0.0], np.cumsum(c)])
-    p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
+    p1 = np.zeros(2 * M + 1, dtype=complex)
+    np.cumsum(c, out=p1[1:])
+    p2 = np.zeros(2 * M + 1)
+    np.cumsum(c.real**2 + c.imag**2, out=p2[1:])
     lengths = [M >> k for k in range(f.grid.m - 1)]  # M, M/2, ..., 4
     rows = {L: _rms_bound_row(p1, p2, L) for L in lengths if L >= 128 or L == M}
     top = max(rows, key=lambda L: rows[L].max())

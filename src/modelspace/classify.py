@@ -110,7 +110,8 @@ def _decide_bounded(ratios_ordered: np.ndarray, window_start: int) -> tuple[str,
         return "inconclusive", rule
     if _terminal_geometric_run(win) >= MIN_RUN:
         return "fails", rule
-    med = float(np.median(finite))
+    # np.median's mean of the middle one or two, without its import of numpy.ma
+    med = float(np.mean(np.sort(finite)[(finite.size - 1) // 2 : finite.size // 2 + 1]))
     if med > 0 and float(finite.max()) / med <= RATIO_SPREAD:
         return "holds", rule
     if med == 0 and float(finite.max()) == 0:

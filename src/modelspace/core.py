@@ -54,7 +54,8 @@ class ZeroSequence(_JsonFile):
             raise ValueError("points must be finite")
         if np.max(np.abs(pts)) > 1.0 - ETA_MIN:
             raise ValueError("some point violates the circle margin ETA_MIN")
-        if np.unique(pts).size != pts.size:
+        ordered = np.sort(pts)  # equal points sit side by side (0.0 == -0.0 too)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("points must be pairwise distinct")
         if self.labels is not None and len(self.labels) != pts.size:
             raise ValueError("labels must match the number of points")

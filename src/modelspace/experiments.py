@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .boundary import (
 )
 from .classify import DecayVerdict, log_growth_check
 from .core import ValueSequence, ZeroSequence
-from .interp import _TABLE_ENTRIES, _lagrange_eval, _polar_lattice_eval, cauchy_eval
+from .interp import _TABLE_ENTRIES, _lagrange_ladder, _polar_lattice_eval, cauchy_eval
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
@@ -84,18 +85,21 @@ def log_samples(grid: BoundaryGrid) -> BoundaryFunction:
     Needs an offset grid so that no node hits the singularity at angle 0.
     The returned function is the analytic part of the raw samples; the
     small negative-mode residue of sampling a log singularity is dropped
-    here (exp_nonduality reports it as log_sampling_defect).
+    here (exp_nonduality reports it as log_sampling_defect).  It is built
+    once per grid exponent and shared, read-only: equal grids get one object.
     """
-    _, phi = _log_parts(grid)
-    return phi
-
-
-def _log_parts(grid: BoundaryGrid):
-    # the raw samples of log(1 - z) on the grid and phi = P_+ log(1 - z)
     if grid.offset == 0.0:
         raise ValueError("log(1 - z) needs the half-offset grid (node at angle 0)")
+    return _log_parts(grid.m)[1]
+
+
+@lru_cache(maxsize=4)
+def _log_parts(m: int):
+    # the H2 defect of the raw samples of log(1 - z) on the half-offset grid
+    # of exponent m, and phi = P_+ log(1 - z)
+    grid = BoundaryGrid(m, offset=0.5)
     raw = BoundaryFunction(grid, np.log(1.0 - grid.nodes))
-    return raw, riesz_project(raw, "+")
+    return h2_defect(raw), riesz_project(raw, "+")
 
 
 def _truncation_ladder(n: int) -> list[int]:
@@ -104,10 +108,11 @@ def _truncation_ladder(n: int) -> list[int]:
     return list(range(4, n + 1, 2)) if n % 2 == 0 else list(range(3, n + 1, 2))
 
 
-def _log_projection(name: str, zeros: ZeroSequence, m: int):
+def _log_projection(name: str, zeros: ZeroSequence, m: int, theta: np.ndarray | None = None):
     # set-up shared by the two pipelines of the logarithm: the result on the
-    # half-offset grid (resolution checked), the raw samples of log(1 - z),
-    # phi = P_+ log(1 - z), and g = model_project(B, phi) at the zeros
+    # half-offset grid (resolution checked), the H2 defect of the raw samples
+    # of log(1 - z), phi = P_+ log(1 - z), and g = model_project(B, phi) at the
+    # zeros; theta holds B on the grid's nodes when the caller has it already
     grid = BoundaryGrid(m, offset=0.5)
     result = ExperimentResult(name=name, parameters={"grid_log2": m, "n_zeros": len(zeros)})
     margin = grid.size * (1.0 - float(zeros.moduli.max()))
@@ -118,9 +123,11 @@ def _log_projection(name: str, zeros: ZeroSequence, m: int):
         )
         warnings.warn(msg)
         result.warnings.append(msg)
-    phi_raw, phi = _log_parts(grid)
-    g = model_project(BlaschkeProduct(zeros).sample(grid), phi)
-    return result, phi_raw, phi, cauchy_eval(g, zeros.points, tol=1e-2)
+    defect, phi = _log_parts(m)
+    if theta is None:
+        theta = BlaschkeProduct(zeros).sample(grid).samples
+    g = model_project(BoundaryFunction(grid, theta), phi)
+    return result, defect, phi, cauchy_eval(g, zeros.points, tol=1e-2)
 
 
 def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
@@ -130,22 +137,25 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     |g(z_j)| to the natural log-growth envelope, and the oscillation norm
     of the co-analytic part over nested truncations (its growth is the
     desk-scale shadow of the projection falling outside BMO).  Every B_n
-    comes from one running product: one factor pass per zero, not per rung.
+    comes from one running product: one factor pass per zero, not per rung,
+    and the full product B that the projection takes is its last rung.
     """
     start = time.perf_counter()
-    result, phi_raw, phi, g_at = _log_projection("nonduality", zeros, m)
-    result.parameters["log_sampling_defect"] = h2_defect(phi_raw)
+    phi = log_samples(BoundaryGrid(m, offset=0.5))
+    coanalytic = []
+    for n, theta in _rung_products(zeros, phi.grid.nodes, _truncation_ladder(len(zeros))):
+        co_n = riesz_project(BoundaryFunction(phi.grid, theta).conj() * phi, "-")
+        coanalytic.append(("coanalytic_bmo", n, bmo_norm(co_n)))
+    result, defect, _, g_at = _log_projection("nonduality", zeros, m, theta)
+    result.parameters["log_sampling_defect"] = defect
 
     phi_at = cauchy_eval(phi, zeros.points)
     envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j in range(len(zeros)):
         result.add("value_preservation_residual", j, abs(g_at[j] - phi_at[j]))
         result.add("log_envelope_ratio", j, abs(g_at[j]) / envelope[j])
-
-    for n, theta_n in _rung_products(zeros, phi.grid.nodes, _truncation_ladder(len(zeros))):
-        co_n = riesz_project(BoundaryFunction(phi.grid, theta_n).conj() * phi, "-")
-        del theta_n  # the ladder holds the running product: free this rung's copy
-        result.add("coanalytic_bmo", n, bmo_norm(co_n))
+    for entry in coanalytic:
+        result.add(*entry)
 
     result.runtime = time.perf_counter() - start
     return result
@@ -176,7 +186,9 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     grid route and by the closed form, their ratios to the log
     envelope, and the oscillation norm of the interpolant of the
     projected logarithm's trace over nested truncations, whose B_n'(z_j)
-    all come from one _rung_derivatives matrix.
+    all come from one _rung_derivatives matrix.  Its R rungs are sampled in
+    one pass over the zeros, holding R rung arrays at once (6 of 4 MB at
+    q = 0.5, n = 13, m = 18); lagrange_interpolant(...).sample stays O(M).
     """
     start = time.perf_counter()
     result, _, phi, g_at = _log_projection("noninterpolation", zeros, m)
@@ -194,8 +206,9 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     result.verdicts.append(log_growth_check(zeros, ValueSequence(g_at)))
 
     derivatives = _rung_derivatives(zeros)
-    for n in _truncation_ladder(len(zeros)):
-        samples = _lagrange_eval(zeros.points[:n], g_at[:n] / derivatives[:n, n - 1], grid.nodes)
+    ladder = _truncation_ladder(len(zeros))
+    rows = [g_at[:n] / derivatives[:n, n - 1] for n in ladder]
+    for n, samples in zip(ladder, _lagrange_ladder(zeros.points, rows, grid.nodes)):
         result.add("interpolant_bmo", n, bmo_norm(BoundaryFunction(grid, samples)))
 
     result.runtime = time.perf_counter() - start

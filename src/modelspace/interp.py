@@ -196,30 +196,39 @@ def _kernel_eval(points: np.ndarray, coeffs: np.ndarray, z):
 
 
 def _lagrange_eval(points: np.ndarray, coeffs: np.ndarray, z):
-    # Stable running-sum form over the zeros z_j in points, with the series
-    # coefficients c_j = w_j / B'(z_j).  The j-th term is c_j core_j(z) prod_{k != j} b_k(z),
+    # the one-row case of _lagrange_ladder, with the shape of z
+    z = np.asarray(z, dtype=complex)
+    (total,) = _lagrange_ladder(points, [coeffs], z.reshape(-1))
+    return total.reshape(z.shape) if z.shape else complex(total[0])
+
+
+def _lagrange_ladder(points: np.ndarray, rows, z: np.ndarray) -> np.ndarray:
+    # Stable running-sum form over the zeros z_j in points, one output row
+    # per row of series coefficients c_j = w_j / B'(z_j), j < len(row), on
+    # the flat points z.  The j-th term is c_j core_j(z) prod_{k != j} b_k(z),
     # and core_j(z) = b_j(z) / (z - z_j) = -u_j / (1 - conj(z_j) z) exactly,
     # which removes the 0/0 at z = z_j without any limit branch.  After
-    # zero j, total holds the series over the first j + 1 zeros and prefix
-    # their product:
+    # zero j, a row's total holds its series over the first j + 1 zeros and
+    # prefix their product:
     #   total <- total b_j + c_j core_j prefix,   prefix <- prefix b_j,
-    # so no term divides by b_j.  Points go in blocks of POINT_BLOCK: the
-    # output is the only length-M array, and the four other buffers have
-    # block length.
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    total = np.zeros(flat.size, dtype=complex)
-    for block, (prefix, fac, den, term) in blaschke._point_blocks(flat.size, 4):
-        zb, tot = flat[block], total[block]
+    # so no term divides by b_j.  Each zero's factor, denominator and prefix
+    # serve every row, whose total gets a one-row pass's operations in the
+    # same order.  Points go in blocks of POINT_BLOCK: the rows are the only
+    # length-M arrays, and the four other buffers have block length.
+    totals = np.zeros((len(rows), z.size), dtype=complex)
+    for block, (prefix, fac, den, term) in blaschke._point_blocks(z.size, 4):
+        zb = z[block]
         prefix.fill(1.0)
-        for zj, cj in zip(points, coeffs):
+        for j, zj in enumerate(points):
             blaschke._factor_into(zj, zb, fac, den)
-            np.divide(-blaschke._unit(zj) * cj, den, out=term)
-            term *= prefix
-            tot *= fac
-            tot += term
+            for row, tot in zip(rows, totals[:, block]):
+                if j < len(row):
+                    np.divide(-blaschke._unit(zj) * row[j], den, out=term)
+                    term *= prefix
+                    tot *= fac
+                    tot += term
             prefix *= fac
-    return total.reshape(z.shape) if z.shape else complex(total[0])
+    return totals
 
 
 def lagrange_interpolant(

@@ -18,6 +18,7 @@ from modelspace import (
     measure_smoothness,
     projection_decay_report,
 )
+from modelspace.classify import RATIO_SPREAD, _decide_bounded
 
 
 def _radial(n, q=0.5):
@@ -57,6 +58,27 @@ def test_bmo_geometric_growth_fails():
     verdict = classify_trace(zeros, w, SmoothnessDescriptor("bmo"))
     assert verdict.verdict == "fails"
     assert verdict.fitted_constant == pytest.approx(4096.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("count", [3, 4, 5, 6, 11, 12])
+def test_bounded_rule_spread_edge_uses_numpy_median(rng, count):
+    # the rule's median (the mean of the sorted middle one or two) has
+    # np.median's bits: window maxima within a few ulps of RATIO_SPREAD times
+    # the median fall on the side np.median puts them, and both sides occur
+    window = rng.uniform(1.0, 2.0, size=count)
+    med = np.median(window)
+    top = RATIO_SPREAD * med
+    seen = set()
+    for _ in range(4):
+        top = np.nextafter(top, 0.0)
+    for _ in range(9):
+        window[np.argmax(window)] = top  # the median keeps its operands
+        expect = "holds" if top / np.median(window) <= RATIO_SPREAD else "inconclusive"
+        got, _ = _decide_bounded(np.concatenate([np.full(count, np.nan), window]), count)
+        assert got == expect
+        seen.add(got)
+        top = np.nextafter(top, np.inf)
+    assert seen == {"holds", "inconclusive"}
 
 
 def test_bmo_scale_equivariance(rng):

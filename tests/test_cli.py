@@ -368,6 +368,34 @@ def test_import_loads_no_scipy_until_quadrature(tmp_path):
     assert float(run.stdout) == experiments.kernel_l1_quadrature(0.5)
 
 
+_MASKED_PROBE = """
+import sys
+import numpy as np
+import modelspace, modelspace.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
+zeros = modelspace.ZeroSequence([0.5, -0.5j, 0.25 + 0.25j])
+assert loaded() == [], loaded()
+modelspace.ValueSequence(np.arange(1.0, 7.0)).to_json(sys.argv[3])
+assert modelspace.cli.main(["--grid-log2", "8", "experiment", "--name", "noninterpolation",
+                            "--radial-q", "0.7", "--n", "4", "--out", sys.argv[1]]) == 0
+assert loaded() == [], loaded()
+assert modelspace.cli.main(["--grid-log2", "8", "classify", "--class", "bmo", "--radial-q", "0.5",
+                            "--n", "6", "--values", sys.argv[3], "--out", sys.argv[2]]) == 0
+assert loaded() == [], loaded()
+"""
+
+
+def test_run_paths_load_no_numpy_ma(tmp_path):
+    # a fresh interpreter: building a zero sequence, a noninterpolation run and
+    # a bmo classification load no numpy.ma module (np.unique and np.median
+    # import it, at about 8 ms)
+    paths = [str(tmp_path / name) for name in ("e.json", "c.json", "w.json")]
+    run = _run_python("-c", _MASKED_PROBE, *paths)
+    assert run.returncode == 0, run.stderr
+    verdict = json.loads(Path(paths[1]).read_text(encoding="utf-8"))
+    assert verdict["satisfied"] == "holds"  # the rule reached its median test
+
+
 def test_parser_built_once_per_process(files, monkeypatch):
     _, zpath, _, _, _ = files
     built = []

@@ -88,6 +88,25 @@ def test_zero_sequence_invariants():
         ZeroSequence(np.array([0.1, 0.2]), labels=("only one",))
 
 
+@pytest.mark.parametrize("points", [
+    [0.0, -0.0],
+    [complex(0.0, 0.5), complex(-0.0, 0.5)],
+    [complex(0.5, 0.0), complex(0.5, -0.0)],
+    [0.3j, 0.1, 0.2, -0.4, 0.5 + 0.1j, 0.6, 0.3j],  # equal points far apart
+    [0.1 + 0.2j, -0.7, 0.1 + 0.2j, 0.1 - 0.2j],
+])
+def test_zero_sequence_rejects_duplicates(points):
+    # 0.0 == -0.0: a signed zero does not make a point distinct
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        ZeroSequence(points)
+
+
+def test_zero_sequence_keeps_near_duplicates_and_order():
+    pts = [0.5, 0.5 + 1e-15, 0.5j, 0.5 + 1e-15j, -0.5, np.nextafter(-0.5, 0.0)]
+    zeros = ZeroSequence(pts)
+    assert zeros.points.tolist() == [complex(p) for p in pts]
+
+
 @pytest.mark.parametrize("bad", [np.nan, complex(0.1, np.nan), np.inf, -np.inf])
 def test_zero_sequence_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="points must be finite"):

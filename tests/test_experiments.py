@@ -24,6 +24,7 @@ from modelspace import (
     exp_noninterpolation,
     exp_sublevel,
     generate_sequence,
+    h2_defect,
     invert_conjugate,
     kernel_l1_quadrature,
     lagrange_interpolant,
@@ -169,6 +170,34 @@ def test_nonduality_one_factor_pass_per_zero(monkeypatch):
 
     monkeypatch.setattr(blaschke, "_factor_into", counted)
     exp_nonduality(generate_sequence("rotated_radial", q=0.7, n=12), m=12)
+    assert len(calls) <= 2 * 12
+
+
+def _counted_factor_passes(monkeypatch):
+    # the zero of every _factor_into call, in call order
+    calls = []
+    factor_into = blaschke._factor_into
+
+    def counted(*args):
+        calls.append(args[0])
+        return factor_into(*args)
+
+    monkeypatch.setattr(blaschke, "_factor_into", counted)
+    return calls
+
+
+def test_pipelines_factor_pass_counts(monkeypatch):
+    # m = 12 is one point block, so one call is one pass.  exp_nonduality
+    # takes its projection's product from the last rung of its ladder: n
+    # passes, one per zero in order.  exp_noninterpolation samples the product
+    # once and every Lagrange rung in one more pass: 2n at most (the per-rung
+    # series took 12 + 4 + 6 + 8 + 10 + 12 = 52 for n = 12)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13)
+    calls = _counted_factor_passes(monkeypatch)
+    exp_nonduality(zeros, m=12)
+    assert calls == list(zeros.points)
+    calls.clear()
+    exp_noninterpolation(zeros, m=12)
     assert len(calls) <= 2 * 12
 
 
@@ -446,6 +475,23 @@ def test_closed_form_matches_kernel_integral(r):
 def test_log_samples_requires_offset():
     with pytest.raises(ValueError):
         log_samples(BoundaryGrid(10))
+
+
+def test_log_samples_shared_read_only():
+    grid = BoundaryGrid(11, offset=0.5)
+    phi = log_samples(grid)
+    assert log_samples(BoundaryGrid(11, offset=0.5)) is phi
+    assert not phi.samples.flags.writeable
+    assert not phi.spectrum.flags.writeable
+    raw = BoundaryFunction(grid, np.log(1.0 - grid.nodes))
+    fresh = riesz_project(raw, "+")
+    assert np.array_equal(phi.samples, fresh.samples)
+    assert np.array_equal(phi.spectrum, fresh.spectrum)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=6)
+    assert exp_nonduality(zeros, m=11).parameters["log_sampling_defect"] == h2_defect(raw)
+    # the cache is keyed by the exponent: the plain grid of a cached one still raises
+    with pytest.raises(ValueError):
+        log_samples(BoundaryGrid(11))
 
 
 def test_experiment_determinism_and_export(tmp_path):

@@ -22,7 +22,8 @@ from modelspace import (
     lagrange_interpolant,
     riesz_project,
 )
-from modelspace.blaschke import POINT_BLOCK, _factor_into, _unit, all_derivatives
+from modelspace.blaschke import POINT_BLOCK, _factor_into, _rung_derivatives, _unit, all_derivatives
+from modelspace.interp import _lagrange_eval, _lagrange_ladder
 
 
 def _streaming_product(product, z):
@@ -129,6 +130,40 @@ def test_blocked_lagrange_exact_at_zeros_in_every_block(rng):
     _assert_samplers_bitwise(zeros, values, z)
     at_zeros = lagrange_interpolant(zeros, values)(z)[slots]
     assert np.max(np.abs(at_zeros - values.values)) <= 1e-12 * np.max(np.abs(values.values))
+
+
+def _ladder_rows(zeros, values, lengths):
+    # the rung coefficients w_j / B_n'(z_j), j < n, one row per length n
+    derivatives = _rung_derivatives(zeros)
+    return [values.values[:n] / derivatives[:n, n - 1] for n in lengths]
+
+
+@pytest.mark.parametrize("lengths", [[4, 6, 8, 10, 12], [7, 3, 12, 1, 12]])
+@pytest.mark.parametrize("m", [12, 15])
+def test_lagrange_ladder_matches_per_row_eval(m, lengths):
+    # every row of the one-pass ladder is its own one-row pass and the
+    # streaming form of its truncation; m = 15 spans two point blocks
+    zeros, values = _instance(m)
+    z = BoundaryGrid(m, 0.5).nodes
+    got = _lagrange_ladder(zeros.points, _ladder_rows(zeros, values, lengths), z)
+    assert got.shape == (len(lengths), z.size)
+    for n, row, total in zip(lengths, _ladder_rows(zeros, values, lengths), got):
+        assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
+        assert np.array_equal(total, _streaming_lagrange(zeros.truncate(n), values.values[:n], z))
+
+
+def test_lagrange_ladder_exact_at_zeros(rng):
+    zeros, values = _instance()
+    z = _interior(rng, 2 * POINT_BLOCK + 2001)
+    slots = np.linspace(0, z.size - 1, len(zeros)).astype(int)  # zeros in all three blocks
+    z[slots] = zeros.points
+    lengths = [12, 5, 9]
+    got = _lagrange_ladder(zeros.points, _ladder_rows(zeros, values, lengths), z)
+    assert np.all(np.isfinite(got))
+    for n, row, total in zip(lengths, _ladder_rows(zeros, values, lengths), got):
+        assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
+        gap = np.abs(total[slots[:n]] - values.values[:n])
+        assert np.max(gap) <= 1e-12 * np.max(np.abs(values.values))
 
 
 @pytest.mark.parametrize("index", [3, POINT_BLOCK + 7, 2 * POINT_BLOCK + 4])
