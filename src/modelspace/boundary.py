@@ -260,8 +260,10 @@ def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> fl
     # offsets; the same values as _arc_oscillation_max, in chunks of at
     # most 2^16 entries (1 MB) that stay in L2, each gathered copy centred in
     # place (the same w - mu operands, so the same deviations); win is the
-    # sliding-window view of the contiguous ext, without sliding_window_view's checks
+    # read-only sliding window of the contiguous ext (the buffer protocol refuses
+    # any other) without sliding_window_view's checks, 0.1 ms of a 1.1 ms call
     win = np.ndarray((ext.size - length + 1, length), ext.dtype, ext, strides=2 * ext.strides)
+    win.flags.writeable = False
     step = max(1, (1 << 16) // length)
     inv = 1.0 / length
     best = 0.0

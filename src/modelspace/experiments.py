@@ -142,7 +142,7 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     """
     start = time.perf_counter()
     phi = log_samples(BoundaryGrid(m, offset=0.5))
-    coanalytic = []
+    coanalytic, theta = [], None  # theta ends as the last rung, the full product
     for n, theta in _rung_products(zeros, phi.grid.nodes, _truncation_ladder(len(zeros))):
         co_n = riesz_project(BoundaryFunction(phi.grid, theta).conj() * phi, "-")
         coanalytic.append(("coanalytic_bmo", n, bmo_norm(co_n)))

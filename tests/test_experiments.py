@@ -157,22 +157,6 @@ def test_nonduality_ladder_matches_per_rung_rebuild(q, m, step):
     assert got == _per_rung_coanalytic_bmo(zeros, m)
 
 
-def test_nonduality_one_factor_pass_per_zero(monkeypatch):
-    # the ladder multiplies each zero in once, and the projection samples the
-    # full product once more: 2n passes at most (the per-rung rebuild took
-    # 4 + 6 + ... + 12 + 12 = 52 for n = 12)
-    calls = []
-    factor_into = blaschke._factor_into
-
-    def counted(*args):
-        calls.append(args[0])
-        return factor_into(*args)
-
-    monkeypatch.setattr(blaschke, "_factor_into", counted)
-    exp_nonduality(generate_sequence("rotated_radial", q=0.7, n=12), m=12)
-    assert len(calls) <= 2 * 12
-
-
 def _counted_factor_passes(monkeypatch):
     # the zero of every _factor_into call, in call order
     calls = []
@@ -186,19 +170,39 @@ def _counted_factor_passes(monkeypatch):
     return calls
 
 
-def test_pipelines_factor_pass_counts(monkeypatch):
-    # m = 12 is one point block, so one call is one pass.  exp_nonduality
-    # takes its projection's product from the last rung of its ladder: n
-    # passes, one per zero in order.  exp_noninterpolation samples the product
-    # once and every Lagrange rung in one more pass: 2n at most (the per-rung
-    # series took 12 + 4 + 6 + 8 + 10 + 12 = 52 for n = 12)
-    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13)
+def test_nonduality_one_factor_pass_per_zero(monkeypatch):
+    # m = 12 is one point block, so one call is one pass.  The ladder multiplies
+    # each zero in once, and the projection takes the full product from its
+    # last rung: n passes, one per zero in order (the per-rung rebuild took
+    # 4 + 6 + ... + 12 + 12 = 52 for n = 12)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12)
     calls = _counted_factor_passes(monkeypatch)
     exp_nonduality(zeros, m=12)
     assert calls == list(zeros.points)
-    calls.clear()
+
+
+def test_noninterpolation_factor_passes(monkeypatch):
+    # exp_noninterpolation samples the product once and every Lagrange rung in
+    # one more pass: 2n at most (the per-rung series took
+    # 12 + 4 + 6 + 8 + 10 + 12 = 52 for n = 12)
+    zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13)
+    calls = _counted_factor_passes(monkeypatch)
     exp_noninterpolation(zeros, m=12)
     assert len(calls) <= 2 * 12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pipelines_on_the_shortest_sequences(n):
+    # the ladder of n <= 4 zeros is 1, ..., n, so its last rung is the full
+    # product, and value preservation reads the same g as a fresh sample of B
+    zeros = generate_sequence("rotated_radial", q=0.7, n=n, angle_step=0.13)
+    dual = exp_nonduality(zeros, m=10)
+    interp = exp_noninterpolation(zeros, m=10)
+    assert [s[1] for s in dual.series if s[0] == "coanalytic_bmo"] == list(range(1, n + 1))
+    assert [s[1] for s in interp.series if s[0] == "interpolant_bmo"] == list(range(1, n + 1))
+    _, _, phi, g_at = _log_projection("nonduality", zeros, 10)
+    residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
+    assert _series(dual, "value_preservation_residual") == list(residuals)
 
 
 def test_dichotomy_bounded_side():
