@@ -34,11 +34,14 @@ def _unit(zj: complex) -> complex:
     return -1.0 + 0.0j if zj == 0 else abs(zj) / zj
 
 
-def _factor_into(zj: complex, z: np.ndarray, out: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # b_j(z) into out and 1 - conj(z_j) z into den, both preallocated like z
+def _factor_into(zj: complex, z: np.ndarray, out, den, r: float = math.inf) -> np.ndarray:
+    # b_j(z) into out and 1 - conj(z_j) z into den, both preallocated like z.
+    # den == 0 (NaN passes) is checked unless |z_j| r (1 + 8 eps) < 1, r >= max|z|:
+    # then the roundings of |z_j|, r and the products, under 8 eps in all, leave
+    # the computed |conj(z_j) z| < 1, so Re den > 0.  A NaN r keeps the check
     np.multiply(np.conj(zj), z, out=den)
     np.subtract(1.0, den, out=den)
-    if not np.all(den):  # a complex value is falsy only at +-0 in both parts; NaN passes
+    if not abs(zj) * r * (1.0 + 8 * np.finfo(float).eps) < 1.0 and not np.all(den):
         raise ZeroDivisionError("evaluation point is the reflected pole of the factor")
     np.subtract(zj, z, out=out)
     np.multiply(_unit(zj), out, out=out)
@@ -72,11 +75,12 @@ def _rung_products(zeros: ZeroSequence, z: np.ndarray, rungs: list[int]):
     # over the flat points z, block by block; each yielded array is the consumer's
     # (a copy, but for the last rung, which the generator no longer reads)
     out = np.ones(z.size, dtype=complex)
+    r = np.abs(z).max(initial=0.0)
     for done, n in zip([0, *rungs], rungs):
         for block, (fac, den) in _point_blocks(z.size, 2):
             zb, ob = z[block], out[block]
             for zj in zeros.points[done:n]:
-                ob *= _factor_into(zj, zb, fac, den)
+                ob *= _factor_into(zj, zb, fac, den, r)
         yield n, out if n == rungs[-1] else out.copy()
 
 

@@ -216,11 +216,12 @@ def _lagrange_ladder(points: np.ndarray, rows, z: np.ndarray) -> np.ndarray:
     # same order.  Points go in blocks of POINT_BLOCK: the rows are the only
     # length-M arrays, and the four other buffers have block length.
     totals = np.zeros((len(rows), z.size), dtype=complex)
+    r = np.abs(z).max(initial=0.0)
     for block, (prefix, fac, den, term) in blaschke._point_blocks(z.size, 4):
         zb = z[block]
         prefix.fill(1.0)
         for j, zj in enumerate(points):
-            blaschke._factor_into(zj, zb, fac, den)
+            blaschke._factor_into(zj, zb, fac, den, r)
             for row, tot in zip(rows, totals[:, block]):
                 if j < len(row):
                     np.divide(-blaschke._unit(zj) * row[j], den, out=term)
