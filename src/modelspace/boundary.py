@@ -177,8 +177,8 @@ def riesz_project(f: BoundaryFunction, sign: str) -> BoundaryFunction:
         raise ValueError("sign must be '+' or '-'")
     half = slice(None, f.grid.size // 2) if sign == "+" else slice(f.grid.size // 2, None)
     spec = np.zeros(f.grid.size, dtype=complex)
-    spec[half] = f.spectrum[half]
-    return BoundaryFunction.from_spectrum(f.grid, spec)
+    np.divide(f.spectrum[half], f.grid._phase[half], out=spec[half])  # from_spectrum's step
+    return BoundaryFunction(f.grid, _fft(spec, inverse=True))
 
 
 def h2_defect(f: BoundaryFunction) -> float:

@@ -137,8 +137,8 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     |g(z_j)| to the natural log-growth envelope, and the oscillation norm
     of the co-analytic part over nested truncations (its growth is the
     desk-scale shadow of the projection falling outside BMO).  Every B_n
-    comes from one running product: one factor pass per zero, not per rung,
-    and the full product B that the projection takes is its last rung.
+    comes from one pass over the zeros, not one per rung, which holds the
+    rung arrays at once; the projection takes B from the last rung.
     """
     start = time.perf_counter()
     phi = log_samples(BoundaryGrid(m, offset=0.5))
@@ -149,10 +149,10 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     result, defect, _, g_at = _log_projection("nonduality", zeros, m, theta)
     result.parameters["log_sampling_defect"] = defect
 
-    phi_at = cauchy_eval(phi, zeros.points)
+    residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
     envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j in range(len(zeros)):
-        result.add("value_preservation_residual", j, abs(g_at[j] - phi_at[j]))
+        result.add("value_preservation_residual", j, residuals[j])
         result.add("log_envelope_ratio", j, abs(g_at[j]) / envelope[j])
     for entry in coanalytic:
         result.add(*entry)

@@ -158,15 +158,15 @@ def test_nonduality_ladder_matches_per_rung_rebuild(q, m, step):
 
 
 def _counted_factor_passes(monkeypatch):
-    # the zero of every _factor_into call, in call order
+    # the zero of every _factor_parts call (one per zero and pass), in call order
     calls = []
-    factor_into = blaschke._factor_into
+    factor_parts = blaschke._factor_parts
 
     def counted(*args):
         calls.append(args[0])
-        return factor_into(*args)
+        return factor_parts(*args)
 
-    monkeypatch.setattr(blaschke, "_factor_into", counted)
+    monkeypatch.setattr(blaschke, "_factor_parts", counted)
     return calls
 
 

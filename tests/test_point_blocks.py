@@ -1,12 +1,14 @@
 """Blocked samplers, shared grid tables and in-place FFTs, bit for bit.
 
-The samplers take points in blocks of POINT_BLOCK; the streaming forms
-below run the same per-point arithmetic with every buffer as long as the
-point array, and the spectral expressions below allocate a fresh array at
-every step.  Both are kept here as oracles: the library must reproduce
-them exactly, not to a tolerance.  The one exception is a grid above 2^16
-nodes, whose transforms take a radix-2 step over np.fft and are held to
-FFT_RTOL instead.
+The samplers take points in blocks of POINT_BLOCK; the grouped streaming
+forms below run the same per-point arithmetic (running numerator and
+denominator products, one division per group of zeros) with every buffer
+as long as the point array, and the spectral expressions below allocate a
+fresh array at every step.  Both are kept here as oracles: the library must
+reproduce them exactly, not to a tolerance.  The one exception is a grid
+above 2^16 nodes, whose transforms take a radix-2 step over np.fft and are
+held to FFT_RTOL instead.  The per-factor streaming forms, which divide by
+every factor, are the samplers' tolerance oracles (SAMPLER_RTOL).
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    InterpolantRepresentation,
     ValueSequence,
     ZeroSequence,
     eval_product,
@@ -25,18 +28,27 @@ from modelspace import (
     riesz_project,
 )
 from modelspace.blaschke import (
+    GROUP,
     POINT_BLOCK,
     _factor_into,
+    _factor_parts,
+    _grouping,
     _rung_derivatives,
+    _rung_products,
     _unit,
     all_derivatives,
     blaschke_factor,
 )
+from modelspace.core import ETA_MIN
 from modelspace.interp import _lagrange_eval, _lagrange_ladder
 
 # transforms above 2^16 points against np.fft, relative to the transformed
 # function's largest value (at most 3.1e-15 measured on the m = 17 cases below)
 FFT_RTOL = 4e-15
+
+# samplers against the per-factor route, relative to the largest output value
+# (at most 3e-15 measured on the 12-zero cases below)
+SAMPLER_RTOL = 1e-14
 
 
 def _streaming_product(product, z):
@@ -78,6 +90,76 @@ def _streaming_lagrange(zeros, values, z):
     return total.reshape(z.shape) if z.shape else complex(total[0])
 
 
+def _group_units(points, j, size):
+    # the product of the units of z_j's group of zeros up to z_j, in order
+    units = _unit(points[j - j % size])
+    for zk in points[j - j % size + 1 : j + 1]:
+        units = units * _unit(zk)
+    return units
+
+
+def _streaming_grouped_product(product, z):
+    z = np.asarray(z, dtype=complex)
+    flat, pts = z.reshape(-1), product.zeros.points
+    r, size = _grouping(flat)
+    out = np.ones(flat.size, dtype=complex)
+    num, den, dens = (np.empty_like(out) for _ in range(3))
+    for j, zj in enumerate(pts):
+        if j % size:
+            dens *= _factor_parts(zj, flat, num, den, r)[1]
+        else:
+            _factor_parts(zj, flat, num, dens, r)
+        out *= num
+        if (j + 1) % size == 0 or j + 1 == len(pts):
+            np.divide(np.multiply(out, _group_units(pts, j, size), out=out), dens, out=out)
+    return out.reshape(z.shape) if z.shape else complex(out[0])
+
+
+def _streaming_grouped_kernel(points, coeffs, z):
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    _, size = _grouping(flat)
+    out = np.zeros(flat.size, dtype=complex)
+    prod, den, term = (np.empty_like(out) for _ in range(3))
+    for j, (zj, cj) in enumerate(zip(points, coeffs)):
+        if j % size == 0:
+            prod.fill(1.0)
+        np.multiply(np.conj(zj), flat, out=den)
+        np.subtract(1.0, den, out=den)
+        np.multiply(prod, cj, out=term)
+        out *= den
+        out += term
+        prod *= den
+        if (j + 1) % size == 0 or j + 1 == len(points):
+            out /= prod
+    return out.reshape(z.shape) if z.shape else complex(out[0])
+
+
+def _streaming_grouped_lagrange(zeros, values, z):
+    z = np.asarray(z, dtype=complex)
+    flat, pts = z.reshape(-1), zeros.points
+    coeffs = values / all_derivatives(BlaschkeProduct(zeros))
+    r, size = _grouping(flat)
+    total = np.zeros(flat.size, dtype=complex)
+    prefix = np.ones(flat.size, dtype=complex)
+    num, den, dens, term = (np.empty_like(total) for _ in range(4))
+    for j, (zj, cj) in enumerate(zip(pts, coeffs)):
+        first = j % size == 0
+        _factor_parts(zj, flat, num, dens if first else den, r)
+        if not first:
+            dens *= den
+        np.multiply(prefix, -cj, out=term)
+        total *= num
+        total += term
+        prefix *= num
+        if (j + 1) % size == 0 or j + 1 == len(pts):
+            total *= _group_units(pts, j, size)
+            total /= dens
+            prefix *= _group_units(pts, j, size)
+            prefix /= dens
+    return total.reshape(z.shape) if z.shape else complex(total[0])
+
+
 def _old_spectrum(f):
     return np.fft.fft(f.samples) / f.grid.size * f.grid._phase
 
@@ -105,9 +187,11 @@ def _interior(rng, size):
 def _assert_samplers_bitwise(zeros, values, z):
     kernel = kernel_interpolant(zeros, values)
     pairs = (
-        (eval_product(BlaschkeProduct(zeros), z), _streaming_product(BlaschkeProduct(zeros), z)),
-        (lagrange_interpolant(zeros, values)(z), _streaming_lagrange(zeros, values.values, z)),
-        (kernel(z), _streaming_kernel(zeros.points, kernel.coefficients, z)),
+        (eval_product(BlaschkeProduct(zeros), z),
+         _streaming_grouped_product(BlaschkeProduct(zeros), z)),
+        (lagrange_interpolant(zeros, values)(z),
+         _streaming_grouped_lagrange(zeros, values.values, z)),
+        (kernel(z), _streaming_grouped_kernel(zeros.points, kernel.coefficients, z)),
     )
     for got, expected in pairs:
         assert np.shape(got) == np.shape(expected)
@@ -122,7 +206,7 @@ def test_blocked_samplers_match_streaming_on_grids(m, offset):
     grid = BoundaryGrid(m, offset)
     _assert_samplers_bitwise(zeros, values, grid.nodes)
     assert np.array_equal(BlaschkeProduct(zeros).sample(grid).samples,
-                          _streaming_product(BlaschkeProduct(zeros), grid.nodes))
+                          _streaming_grouped_product(BlaschkeProduct(zeros), grid.nodes))
 
 
 @pytest.mark.parametrize("size", [2001, 2 * POINT_BLOCK + 2001])
@@ -162,7 +246,9 @@ def test_lagrange_ladder_matches_per_row_eval(m, lengths):
     assert got.shape == (len(lengths), z.size)
     for n, row, total in zip(lengths, _ladder_rows(zeros, values, lengths), got):
         assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
-        assert np.array_equal(total, _streaming_lagrange(zeros.truncate(n), values.values[:n], z))
+        assert np.array_equal(
+            total, _streaming_grouped_lagrange(zeros.truncate(n), values.values[:n], z)
+        )
 
 
 def test_lagrange_ladder_exact_at_zeros(rng):
@@ -177,6 +263,121 @@ def test_lagrange_ladder_exact_at_zeros(rng):
         assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
         gap = np.abs(total[slots[:n]] - values.values[:n])
         assert np.max(gap) <= 1e-12 * np.max(np.abs(values.values))
+
+
+def _assert_near_per_factor_route(got, expected):
+    assert np.max(np.abs(got - expected)) <= SAMPLER_RTOL * np.max(np.abs(expected))
+
+
+def _assert_samplers_near_per_factor_route(zeros, values, z):
+    kernel = kernel_interpolant(zeros, values)
+    _assert_near_per_factor_route(eval_product(BlaschkeProduct(zeros), z),
+                                  _streaming_product(BlaschkeProduct(zeros), z))
+    _assert_near_per_factor_route(lagrange_interpolant(zeros, values)(z),
+                                  _streaming_lagrange(zeros, values.values, z))
+    _assert_near_per_factor_route(kernel(z),
+                                  _streaming_kernel(zeros.points, kernel.coefficients, z))
+
+
+@pytest.mark.parametrize("m", [12, 15, 17])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_samplers_within_tolerance_of_per_factor_route(m, offset, rng):
+    zeros, values = _instance(m)
+    _assert_samplers_near_per_factor_route(zeros, values, BoundaryGrid(m, offset).nodes)
+    _assert_samplers_near_per_factor_route(zeros, values, _interior(rng, 2001))
+
+
+def _straddling_zeros(n):
+    return generate_sequence("rotated_radial", q=0.8, n=n, angle_step=0.13)
+
+
+def _straddling_ladder(n):
+    # 3, 5, ..., n: the pass of rung 17 (and 33) closes a group of GROUP = 16
+    # zeros and stops inside the next one, as does the last rung of n = 17
+    return [*range(3, n, 2), n]
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_rungs_across_groups_match_per_rung_rebuild(n):
+    # m = 15 spans two point blocks, so each block keeps its own numerator and
+    # denominator from one rung to the next
+    zeros, z = _straddling_zeros(n), BoundaryGrid(15, 0.5).nodes
+    ladder = _straddling_ladder(n)
+    assert GROUP == 16 and 17 in ladder
+    yielded = list(_rung_products(zeros, z, ladder))
+    assert [k for k, _ in yielded] == ladder
+    for k, vals in yielded:
+        assert np.array_equal(vals, eval_product(BlaschkeProduct(zeros.truncate(k)), z))
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_lagrange_ladder_across_groups_matches_per_row_eval(n):
+    zeros, z = _straddling_zeros(n), BoundaryGrid(15, 0.5).nodes
+    values = ValueSequence(np.linspace(1.0, 2.0, n) + 0.5j)
+    lengths = _straddling_ladder(n)
+    rows = _ladder_rows(zeros, values, lengths)
+    for k, row, total in zip(lengths, rows, _lagrange_ladder(zeros.points, rows, z)):
+        assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
+        assert np.array_equal(
+            total, _streaming_grouped_lagrange(zeros.truncate(k), values.values[:k], z)
+        )
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_samplers_across_groups_match_grouped_streaming_forms(n):
+    # more than one group of zeros over two point blocks: `==` to the grouped
+    # streaming forms; product and kernel within SAMPLER_RTOL of the per-factor
+    # route.  The Lagrange series of these clustered zeros cancels, and the
+    # two routes' samples differ by up to 1.6e-13 of max|f| (n = 40)
+    zeros, z = _straddling_zeros(n), BoundaryGrid(15, 0.5).nodes
+    coeffs = np.linspace(1.0, 2.0, n) + 0.5j
+    product = BlaschkeProduct(zeros)
+    kernel = InterpolantRepresentation(zeros, coeffs, "kernel_basis")
+    got = eval_product(product, z)
+    assert np.array_equal(got, _streaming_grouped_product(product, z))
+    _assert_near_per_factor_route(got, _streaming_product(product, z))
+    got = kernel(z)
+    assert np.array_equal(got, _streaming_grouped_kernel(zeros.points, coeffs, z))
+    _assert_near_per_factor_route(got, _streaming_kernel(zeros.points, coeffs, z))
+    assert np.array_equal(lagrange_interpolant(zeros, ValueSequence(coeffs))(z),
+                          _streaming_grouped_lagrange(zeros, coeffs, z))
+
+
+def test_near_boundary_product_at_and_near_zeros(rng):
+    # 300 zeros with 1 - |z_j| down to ETA_MIN, at golden-angle steps, and
+    # points at the zeros, within 1e-12 of them and inside the disk
+    n = 300
+    gaps = np.geomspace(0.5, 1.001 * ETA_MIN, n)
+    zeros = ZeroSequence((1.0 - gaps) * np.exp(2j * np.pi * 0.6180339887 * np.arange(n)))
+    near = zeros.points + 1e-12 * np.exp(2j * np.pi * rng.uniform(size=n))
+    z = np.concatenate([zeros.points, near, zeros.points * (1.0 - 1e-12), _interior(rng, 3000)])
+    got = eval_product(BlaschkeProduct(zeros), z)
+    assert np.all(np.isfinite(got))
+    assert np.all(got[:n] == 0)
+    assert np.max(np.abs(got)) <= 1.0 + 1e-14
+    _assert_near_per_factor_route(got, _streaming_product(BlaschkeProduct(zeros), z))
+
+
+@pytest.mark.parametrize("radius", [1e3, 1e30])
+def test_points_far_outside_the_disk_stay_finite(rng, radius):
+    # the group shrinks with max|z| (to 5 zeros at 1e30), so every value the
+    # per-factor route keeps finite stays finite
+    far = radius * np.exp(2j * np.pi * rng.uniform(size=1000))
+    assert _grouping(far)[1] == {1e3: GROUP, 1e30: 5}[radius]
+    zeros, values = _instance()
+    kernel = kernel_interpolant(zeros, values)
+    long = _straddling_zeros(40)
+    pairs = [
+        (eval_product(BlaschkeProduct(seq), far), _streaming_product(BlaschkeProduct(seq), far))
+        for seq in (zeros, long)
+    ] + [
+        (lagrange_interpolant(zeros, values)(far), _streaming_lagrange(zeros, values.values, far)),
+        (kernel(far), _streaming_kernel(zeros.points, kernel.coefficients, far)),
+    ]
+    for got, expected in pairs:
+        finite = np.isfinite(expected)
+        assert np.any(finite)
+        assert np.all(np.isfinite(got[finite]))
 
 
 @pytest.mark.parametrize("index", [3, POINT_BLOCK + 7, 2 * POINT_BLOCK + 4])
