@@ -129,11 +129,6 @@ def _lagrange_ladder(points: np.ndarray, rows, z: np.ndarray, rungs=()) -> np.nd
     return out
 
 
-def _rung_products(zeros: ZeroSequence, z: np.ndarray, rungs: list[int]):
-    # (n, B_n(z)) for the increasing rungs n over the flat points z, from one pass
-    return zip(rungs, _lagrange_ladder(zeros.points, [], z, rungs))
-
-
 def eval_product(product: BlaschkeProduct, z):
     """Value of the product at z (scalar or array), |z| <= 1.
 

@@ -21,8 +21,8 @@ import numpy as np
 
 DEFECT_TOL = 1e-8  # relative-energy threshold for "negligible" negative modes
 UNIMODULAR_TOL = 1e-8  # largest ||theta| - 1| accepted on the grid
-_ARC_CHUNK = 1024  # offsets per block of the all-offsets oscillation scan
 _FFT_LEAF = 1 << 16  # largest transform handed to np.fft in one call
+_ARC_GATHER = 1 << 16  # entries per gathered chunk of the arc kernels (1 MB, stays in L2)
 
 
 @lru_cache(maxsize=8)
@@ -261,30 +261,15 @@ def toeplitz_coanalytic(psi: BoundaryFunction, f: BoundaryFunction) -> BoundaryF
 # mean oscillation
 
 
-def _arc_oscillation_max(samples: np.ndarray, length: int) -> float:
-    # max over all offsets of the mean absolute deviation on arcs of a length
-    M = samples.size
-    ext = np.concatenate([samples, samples[: length - 1]])
-    win = np.lib.stride_tricks.sliding_window_view(ext, length)
-    best = 0.0
-    for lo in range(0, M, _ARC_CHUNK):
-        w = win[lo : lo + _ARC_CHUNK]
-        mu = w.mean(axis=1)
-        dev = np.abs(w - mu[:, None]).mean(axis=1)
-        best = max(best, float(dev.max()))
-    return best
-
-
 def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> float:
     # max mean absolute deviation on the arcs of one length starting at the
-    # offsets; the same values as _arc_oscillation_max, in chunks of at
-    # most 2^16 entries (1 MB) that stay in L2, each gathered copy centred in
-    # place (the same w - mu operands, so the same deviations); win is the
-    # read-only sliding window of the contiguous ext (the buffer protocol refuses
-    # any other) without sliding_window_view's checks, 0.1 ms of a 1.1 ms call
+    # offsets, in chunks of at most _ARC_GATHER entries, each gathered copy
+    # centred in place; win is the read-only sliding window of the contiguous
+    # ext (the buffer protocol refuses any other) without sliding_window_view's
+    # checks, 0.1 ms of a 1.1 ms call
     win = np.ndarray((ext.size - length + 1, length), ext.dtype, ext, strides=2 * ext.strides)
     win.flags.writeable = False
-    step = max(1, (1 << 16) // length)
+    step = max(1, _ARC_GATHER // length)
     inv = 1.0 / length
     best = 0.0
     for lo in range(0, offsets.size, step):
@@ -310,7 +295,7 @@ def _sub_arc_bound(
     # carries over.  So each T_i gets the RMS slack with l for L plus a term
     # in |mu|^2: 16 eps (p2[-1]/l + p2[M]/M + |mu|^2).
     # The (offsets x (k + 1)) prefix entries are gathered in chunks of at
-    # most 2^16, the chunk size of _arc_oscillation_at.
+    # most _ARC_GATHER.
     k = min(32, length // 4)
     sub = length // k
     inv, inv_sub = 1.0 / length, 1.0 / sub
@@ -318,7 +303,7 @@ def _sub_arc_bound(
     span = sub * np.arange(k + 1)
     eps = np.finfo(float).eps
     out = np.empty(offsets.size)
-    step = max(1, (1 << 16) // (k + 1))
+    step = max(1, _ARC_GATHER // (k + 1))
     for lo in range(0, offsets.size, step):
         idx = offsets[lo : lo + step, None] + span
         s1 = p1[idx]
@@ -435,15 +420,15 @@ def bmo_norm(f: BoundaryFunction) -> float:
 
 
 def bmo_norm_exhaustive(f: BoundaryFunction) -> float:
-    """All-arcs oscillation scan; quadratic cost, guarded to small grids."""
+    """All-arcs oscillation scan on bmo_norm's exact-arc kernel, so never below
+    bmo_norm; quadratic cost, guarded to small grids.
+    """
     M = f.grid.size
     if M > 512:
         raise ValueError("exhaustive arc scan is limited to grids of size <= 512")
-    mean = complex(np.mean(f.samples))
-    best = 0.0
-    for length in range(2, M + 1):
-        best = max(best, _arc_oscillation_max(f.samples, length))
-    return abs(mean) + best
+    ext = np.concatenate([f.samples, f.samples])
+    best = max(_arc_oscillation_at(ext, L, np.arange(M)) for L in range(2, M + 1))
+    return abs(complex(np.mean(f.samples))) + best
 
 
 # ---------------------------------------------------------------------------

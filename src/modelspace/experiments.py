@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _rung_derivatives, _rung_products, sublevel_indicator
+from .blaschke import BlaschkeProduct, _lagrange_ladder, _rung_derivatives, sublevel_indicator
 from .boundary import (
     BoundaryFunction,
     BoundaryGrid,
@@ -31,7 +31,7 @@ from .boundary import (
 )
 from .classify import DecayVerdict, log_growth_check
 from .core import ValueSequence, ZeroSequence
-from .interp import _TABLE_ENTRIES, _lagrange_ladder, _polar_lattice_eval, cauchy_eval
+from .interp import _TABLE_ENTRIES, _polar_lattice_eval, cauchy_eval
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
@@ -40,6 +40,10 @@ RESOLUTION_MARGIN = 32.0
 # circle nearest the boundary
 SUBLEVEL_ANGLES = 256
 SUBLEVEL_DEPTH = 1e-4
+
+# negative-mode energy admitted where a projection is evaluated in the disk: it
+# holds the grid aliasing of sampled products and kernels (ROADMAP aim 4)
+ALIASED_H2_TOL = 1e-2
 
 
 @dataclass
@@ -108,11 +112,10 @@ def _truncation_ladder(n: int) -> list[int]:
     return list(range(4, n + 1, 2)) if n % 2 == 0 else list(range(3, n + 1, 2))
 
 
-def _log_projection(name: str, zeros: ZeroSequence, m: int, theta: np.ndarray | None = None):
+def _log_projection(name: str, zeros: ZeroSequence, m: int):
     # set-up shared by the two pipelines of the logarithm: the result on the
     # half-offset grid (resolution checked), the H2 defect of the raw samples
-    # of log(1 - z), phi = P_+ log(1 - z), and g = model_project(B, phi) at the
-    # zeros; theta holds B on the grid's nodes when the caller has it already
+    # of log(1 - z), and phi = P_+ log(1 - z)
     grid = BoundaryGrid(m, offset=0.5)
     result = ExperimentResult(name=name, parameters={"grid_log2": m, "n_zeros": len(zeros)})
     margin = grid.size * (1.0 - float(zeros.moduli.max()))
@@ -123,11 +126,7 @@ def _log_projection(name: str, zeros: ZeroSequence, m: int, theta: np.ndarray | 
         )
         warnings.warn(msg)
         result.warnings.append(msg)
-    defect, phi = _log_parts(m)
-    if theta is None:
-        theta = BlaschkeProduct(zeros).sample(grid).samples
-    g = model_project(BoundaryFunction(grid, theta), phi)
-    return result, defect, phi, cauchy_eval(g, zeros.points, tol=1e-2)
+    return (result, *_log_parts(m))
 
 
 def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
@@ -138,16 +137,19 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     of the co-analytic part over nested truncations (its growth is the
     desk-scale shadow of the projection falling outside BMO).  Every B_n
     comes from one pass over the zeros, not one per rung, which holds the
-    rung arrays at once; the projection takes B from the last rung.
+    rung arrays at once; the last rung is B, whose co-analytic part gives
+    g = model_project(B, phi) = B P_-(conj(B) phi) without a second projection.
     """
     start = time.perf_counter()
-    phi = log_samples(BoundaryGrid(m, offset=0.5))
-    coanalytic, theta = [], None  # theta ends as the last rung, the full product
-    for n, theta in _rung_products(zeros, phi.grid.nodes, _truncation_ladder(len(zeros))):
-        co_n = riesz_project(BoundaryFunction(phi.grid, theta).conj() * phi, "-")
-        coanalytic.append(("coanalytic_bmo", n, bmo_norm(co_n)))
-    result, defect, _, g_at = _log_projection("nonduality", zeros, m, theta)
+    result, defect, phi = _log_projection("nonduality", zeros, m)
     result.parameters["log_sampling_defect"] = defect
+    ladder = _truncation_ladder(len(zeros))
+    coanalytic = []
+    for n, samples in zip(ladder, _lagrange_ladder(zeros.points, [], phi.grid.nodes, ladder)):
+        theta = BoundaryFunction(phi.grid, samples)
+        co_n = riesz_project(theta.conj() * phi, "-")
+        coanalytic.append(("coanalytic_bmo", n, bmo_norm(co_n)))
+    g_at = cauchy_eval(theta * co_n, zeros.points, tol=ALIASED_H2_TOL)
 
     residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
     envelope = np.log(2.0 / (1.0 - zeros.moduli))
@@ -191,8 +193,10 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     q = 0.5, n = 13, m = 18); lagrange_interpolant(...).sample stays O(M).
     """
     start = time.perf_counter()
-    result, _, phi, g_at = _log_projection("noninterpolation", zeros, m)
+    result, _, phi = _log_projection("noninterpolation", zeros, m)
     grid = phi.grid
+    g = model_project(BlaschkeProduct(zeros).sample(grid), phi)
+    g_at = cauchy_eval(g, zeros.points, tol=ALIASED_H2_TOL)
 
     envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j, zj in enumerate(zeros.points):
@@ -309,7 +313,7 @@ def exp_sublevel(
         result.warnings.append(msg)
         sub_sup = 0.0
     else:
-        circles = _polar_lattice_eval(f, radii, SUBLEVEL_ANGLES, tol=1e-2)
+        circles = _polar_lattice_eval(f, radii, SUBLEVEL_ANGLES, tol=ALIASED_H2_TOL)
         sub_sup = float(np.abs(circles.reshape(-1)[mask]).max())
     boundary_sup = lp_norm(f, math.inf)
 

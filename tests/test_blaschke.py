@@ -18,7 +18,7 @@ from modelspace import (
     interpolation_delta,
     sublevel_indicator,
 )
-from modelspace.blaschke import GOLDEN_ITERS, POINT_BLOCK, _rung_derivatives, _rung_products
+from modelspace.blaschke import GOLDEN_ITERS, POINT_BLOCK, _lagrange_ladder, _rung_derivatives
 from modelspace.experiments import _truncation_ladder
 
 
@@ -89,11 +89,11 @@ def test_rung_products_match_per_rung_rebuild(m, offset):
         ladder = _truncation_ladder(n)
         oracle = {k: BlaschkeProduct(zeros.truncate(k)).sample(grid).samples for k in ladder}
         yielded = []
-        for k, vals in _rung_products(zeros, grid.nodes, ladder):
+        for k, vals in zip(ladder, _lagrange_ladder(zeros.points, [], grid.nodes, ladder)):
             assert np.array_equal(vals, oracle[k])
             yielded.append((k, vals))
         # every rung's array is the consumer's: the running product moved on
-        # after it was yielded, and it must not have moved the array with it
+        # after the rung was closed, and it must not have moved the array with it
         assert [k for k, _ in yielded] == ladder
         for k, vals in yielded:
             assert np.array_equal(vals, oracle[k])

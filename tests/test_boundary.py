@@ -43,7 +43,7 @@ from modelspace import (
     toeplitz_coanalytic,
 )
 from modelspace import boundary
-from modelspace.boundary import _arc_oscillation_at, _arc_oscillation_max
+from modelspace.boundary import _arc_oscillation_at
 
 
 def _grid(m=8, offset=0.0):
@@ -317,10 +317,32 @@ def test_bmo_coarse_upper_bound(rng):
     assert bmo_norm(f) <= 2.0 * lp_norm(f, math.inf) + mean + 1e-12
 
 
+def _all_offsets(s, length):
+    # the largest deviation on the arcs of one length at every offset, in the
+    # division form of the conftest oracle
+    return arc_oscillation_divided(np.concatenate([s, s]), length, np.arange(s.size))
+
+
 def _dyadic_scan(f):
     # the unpruned dyadic scan: every offset of every length 4, 8, ..., M
-    best = max(_arc_oscillation_max(f.samples, 1 << k) for k in range(2, f.grid.m + 1))
+    best = max(_all_offsets(f.samples, 1 << k) for k in range(2, f.grid.m + 1))
     return abs(complex(np.mean(f.samples))) + best
+
+
+def test_bmo_exhaustive_on_the_exact_arc_kernel(rng):
+    # the exhaustive scan shares bmo_norm's exact-arc kernel, so no dyadic arc
+    # reads higher in one than in the other; against the division form of every
+    # arc it moves by rounding only
+    inputs = [BoundaryFunction(_grid(7), rng.normal(size=128) + 1j * rng.normal(size=128))
+              for _ in range(5)]
+    inputs += [BoundaryFunction.from_callable(_grid(8), lambda z: z),
+               BoundaryFunction(_grid(6), 1e8 + 1e-3 * (-1.0) ** np.arange(64))]
+    for f in inputs:
+        e = bmo_norm_exhaustive(f)
+        assert bmo_norm(f) <= e
+        lengths = range(2, f.grid.size + 1)
+        oracle = abs(complex(np.mean(f.samples))) + max(_all_offsets(f.samples, L) for L in lengths)
+        assert abs(e - oracle) <= 1e-14 * oracle
 
 
 def _coanalytic_rung(angle_step, n):
@@ -427,7 +449,7 @@ def test_arc_oscillation_chunks_bit_identical_to_unchunked_form(name):
     rng = np.random.default_rng(10)
     for k in range(2, 13):
         length = 1 << k
-        step = max(1, (1 << 16) // length)
+        step = max(1, boundary._ARC_GATHER // length)
         for count in (0, 1, step - 1, step, step + 1, 3 * step + 5):
             offsets = rng.integers(0, s.size, size=count)
             expected = arc_oscillation_divided(ext, length, offsets)
@@ -574,7 +596,7 @@ def test_bmo_short_arc_maximum_builds_every_row(monkeypatch, m):
     built = _counting_rows(monkeypatch)
     value = bmo_norm(f)
     assert sorted(built) == [4 << k for k in range(m - 1)]
-    short = max(_arc_oscillation_max(s, length) for length in (4, 8, 16))
+    short = max(_all_offsets(s, length) for length in (4, 8, 16))
     assert value == abs(complex(np.mean(s))) + short
     assert value == division_form_bmo(f)
     if m <= 9:

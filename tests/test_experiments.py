@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 import modelspace.experiments
 from conftest import division_form_bmo, mp_rung_derivatives, random_zero_sequence
-from modelspace import blaschke
+from modelspace import blaschke, boundary
+from modelspace.boundary import DEFECT_TOL
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -26,23 +27,33 @@ from modelspace import (
     generate_sequence,
     h2_defect,
     invert_conjugate,
+    kernel_interpolant,
     kernel_l1_quadrature,
     lagrange_interpolant,
     log_samples,
     lp_norm,
+    model_project,
     riesz_project,
     sublevel_indicator,
 )
 from modelspace.experiments import (
     SUBLEVEL_ANGLES,
     SUBLEVEL_DEPTH,
-    _log_projection,
     _truncation_ladder,
 )
 
 
 def _series(result, label):
     return [v for _, _, v in [(l, i, v) for l, i, v in result.series if l == label]]
+
+
+def _projected_log_at(zeros, m):
+    # phi = P_+ log(1 - z) and g = model_project(B, phi) at the zeros through
+    # the public routes: the explicit form of both log pipelines' set-up
+    grid = BoundaryGrid(m, offset=0.5)
+    phi = log_samples(grid)
+    g = model_project(BlaschkeProduct(zeros).sample(grid), phi)
+    return phi, cauchy_eval(g, zeros.points, tol=1e-2)
 
 
 def test_nonduality_rank_one_closed_form():
@@ -54,7 +65,6 @@ def test_nonduality_rank_one_closed_form():
     # form at the sampling-error rate of the log singularity (~1/M)
     grid = BoundaryGrid(13, offset=0.5)
     phi = log_samples(grid)
-    from modelspace import model_project, BlaschkeProduct
 
     theta = BlaschkeProduct(zeros).sample(grid)
     g = model_project(theta, phi)
@@ -200,9 +210,74 @@ def test_pipelines_on_the_shortest_sequences(n):
     interp = exp_noninterpolation(zeros, m=10)
     assert [s[1] for s in dual.series if s[0] == "coanalytic_bmo"] == list(range(1, n + 1))
     assert [s[1] for s in interp.series if s[0] == "interpolant_bmo"] == list(range(1, n + 1))
-    _, _, phi, g_at = _log_projection("nonduality", zeros, 10)
+    phi, g_at = _projected_log_at(zeros, 10)
     residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
     assert _series(dual, "value_preservation_residual") == list(residuals)
+
+
+def _counted_riesz_projections(monkeypatch):
+    # every riesz_project call of the pipelines, model_project's included
+    calls = []
+    project = boundary.riesz_project
+
+    def counted(f, sign):
+        calls.append(sign)
+        return project(f, sign)
+
+    monkeypatch.setattr(boundary, "riesz_project", counted)
+    monkeypatch.setattr(modelspace.experiments, "riesz_project", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, n, m", [(0.7, 1, 10), (0.7, 2, 10), (0.7, 12, 10), (0.7, 1, 12),
+                                     (0.7, 2, 12), (0.7, 12, 12), (0.5, 12, 17)])
+def test_nonduality_projects_once_per_rung(monkeypatch, q, n, m):
+    # g = model_project(B, phi) is B times the last rung's co-analytic part, so
+    # the projection of the last rung is not made twice; the series match the
+    # explicit route through a fresh sample of B
+    zeros = generate_sequence("rotated_radial", q=q, n=n, angle_step=0.13)
+    phi, g_at = _projected_log_at(zeros, m)  # also fills the cache of phi
+    calls = _counted_riesz_projections(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q = 0.7, n = 12 under-resolves m = 10
+        result = exp_nonduality(zeros, m=m)
+    assert calls == ["-"] * len(_truncation_ladder(n))
+    envelope = np.log(2.0 / (1.0 - zeros.moduli))
+    residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
+    assert _series(result, "value_preservation_residual") == list(residuals)
+    assert _series(result, "log_envelope_ratio") == [abs(v) / e for v, e in zip(g_at, envelope)]
+
+
+@pytest.mark.parametrize("q, n, m, step, measured", [(0.7, 12, 12, 0.13, 9.2e-13),
+                                                     (0.7, 8, 12, 0.45, 6.1e-14),
+                                                     (0.5, 12, 17, 0.13, 5.7e-8)])
+def test_nonduality_projection_matches_kernel_interpolant(monkeypatch, q, n, m, step, measured):
+    # Cross-route oracle: the g that exp_nonduality evaluates at the zeros
+    # against the Gram-solve interpolant of its values g(z_j).  Both lie in the
+    # model space and agree at the zeros, so they differ by the grid aliasing
+    # of the sampled B, about (max|z_j|)^(M/2) (4e-13 at q = 0.7, m = 12 and
+    # 1.1e-7 at q = 0.5, m = 17), or by rounding amplified by the Gram solve
+    # where that is smaller.  The bound is 4x the measured gap relative to
+    # max|g|: room for rounding that moves with the BLAS, while a wrong rung or
+    # a missing projection is off by O(1).  The step-0 baseline is left out:
+    # its Gram condition (1.5e9) trips kernel_interpolant's 1e8 warning
+    zeros = generate_sequence("rotated_radial", q=q, n=n, angle_step=step)
+    captured = []
+    evaluate = modelspace.experiments.cauchy_eval
+
+    def capturing(f, z, tol=DEFECT_TOL):
+        captured.append((f, evaluate(f, z, tol=tol)))
+        return captured[-1][1]
+
+    monkeypatch.setattr(modelspace.experiments, "cauchy_eval", capturing)
+    exp_nonduality(zeros, m=m)
+    (g, g_at), (phi, _) = captured  # g at the zeros, then phi there
+    assert phi is log_samples(g.grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = kernel_interpolant(zeros, ValueSequence(g_at)).sample(g.grid)
+    gap = np.abs(g.samples - kernel.samples).max() / np.abs(g.samples).max()
+    assert gap <= 4 * measured
 
 
 def test_dichotomy_bounded_side():
@@ -314,7 +389,7 @@ def test_dichotomy_conjugate_values_match_per_rung_and_mpmath(case, rng):
 def _per_rung_interpolant_bmo(zeros, m):
     # the per-rung Lagrange interpolants exp_noninterpolation sampled before
     # its derivative ladder, kept as its oracle
-    _, _, phi, g_at = _log_projection("noninterpolation", zeros, m)
+    phi, g_at = _projected_log_at(zeros, m)
     series = []
     for n in _truncation_ladder(len(zeros)):
         interp = lagrange_interpolant(zeros.truncate(n), ValueSequence(g_at[:n]))

@@ -33,14 +33,14 @@ from modelspace.blaschke import (
     _factor_into,
     _factor_parts,
     _grouping,
+    _lagrange_ladder,
     _rung_derivatives,
-    _rung_products,
     _unit,
     all_derivatives,
     blaschke_factor,
 )
 from modelspace.core import ETA_MIN
-from modelspace.interp import _lagrange_eval, _lagrange_ladder
+from modelspace.interp import _lagrange_eval
 
 # transforms above 2^16 points against np.fft, relative to the transformed
 # function's largest value (at most 3.1e-15 measured on the m = 17 cases below)
@@ -304,7 +304,7 @@ def test_rungs_across_groups_match_per_rung_rebuild(n):
     zeros, z = _straddling_zeros(n), BoundaryGrid(15, 0.5).nodes
     ladder = _straddling_ladder(n)
     assert GROUP == 16 and 17 in ladder
-    yielded = list(_rung_products(zeros, z, ladder))
+    yielded = list(zip(ladder, _lagrange_ladder(zeros.points, [], z, ladder)))
     assert [k for k, _ in yielded] == ladder
     for k, vals in yielded:
         assert np.array_equal(vals, eval_product(BlaschkeProduct(zeros.truncate(k)), z))
