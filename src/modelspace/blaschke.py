@@ -21,7 +21,7 @@ from .core import DiagnosticsReport, ZeroSequence
 POINT_BLOCK = 1 << 14
 GOLDEN_ITERS = 80  # golden-section steps of the frostman_sup refinement
 
-# zeros per group of the samplers' running products of z_j - z and of
+# zeros per group of _lagrange_ladder's running products of z_j - z and of
 # D_j = 1 - conj(z_j) z, divided once per group.  For |z| <= r each factor has
 # modulus <= 1 + r: a group's products stay within 2^16 on the closed disk, where
 # prod |D_j| >= prod (1 - |z_j|) >= 2^-848 (a double |z_j| < 1 is <= 1 - 2^-53).
@@ -49,7 +49,7 @@ def _unit(zj: complex) -> complex:
     return -1.0 + 0.0j if zj == 0 else abs(zj) / zj
 
 
-def _factor_parts(zj: complex, z: np.ndarray, num, den, r: float = math.inf):
+def _factor_parts(zj: complex, z: np.ndarray, num, den, r: float):
     # z_j - z into num and 1 - conj(z_j) z into den, both preallocated like z.
     # den == 0 (NaN passes) is checked unless |z_j| r (1 + 8 eps) < 1, r >= max|z|:
     # then the roundings of |z_j|, r and the products, under 8 eps in all, leave
@@ -61,17 +61,11 @@ def _factor_parts(zj: complex, z: np.ndarray, num, den, r: float = math.inf):
     return np.subtract(zj, z, out=num), den
 
 
-def _factor_into(zj: complex, z: np.ndarray, out, den, r: float = math.inf) -> np.ndarray:
-    # b_j(z) into out and 1 - conj(z_j) z into den, both preallocated like z
-    num, den = _factor_parts(zj, z, out, den, r)
-    return np.divide(np.multiply(_unit(zj), num, out=out), den, out=out)
-
-
 def blaschke_factor(zj: complex, z) -> np.ndarray | complex:
-    """Single factor (|z_j|/z_j) (z_j - z) / (1 - conj(z_j) z)."""
+    """Single factor (|z_j|/z_j) (z_j - z) / (1 - conj(z_j) z): the one-zero product."""
     z = np.asarray(z, dtype=complex)
-    out = _factor_into(zj, z, np.empty_like(z), np.empty_like(z))
-    return out if out.shape else complex(out)
+    (out,) = _lagrange_ladder(np.array([zj], dtype=complex), [], z.reshape(-1), [1])
+    return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
 @dataclass(frozen=True)
@@ -208,11 +202,14 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def frostman_sup(zeros: ZeroSequence, grid_size: int = 4096) -> float:
     """Approximate sup over the circle of frostman_sum.
 
-    Scans a uniform grid of the stated size, then refines around the four
-    top grid maximizers with golden-section search on the neighbouring
-    arcs, all four brackets advanced together as one vectorised search.
-    The grid sums are accumulated one zero at a time into length-M
-    buffers, so memory stays O(M) whatever the number of zeros.
+    Scans a uniform grid of the stated size, then refines with one
+    vectorised golden-section search over two sets of brackets: the arcs
+    next to the four top grid maximizers, and an arc of half-width
+    min(spacing, 1 - |z_j|) around each zero's direction arg z_j, since a
+    zero near the circle makes a peak narrower than the grid spacing that
+    the top nodes, often all on one broad peak, miss.  The grid sums are
+    accumulated one zero at a time into length-M buffers, so memory stays
+    O(M) whatever the number of zeros.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
@@ -222,10 +219,10 @@ def frostman_sup(zeros: ZeroSequence, grid_size: int = 4096) -> float:
     for zj, gap in zip(zeros.points, 1.0 - zeros.moduli):
         vals += gap / np.abs(nodes - zj)
     spacing = 2.0 * np.pi / grid_size
-    # refine the best few local maxima, not just the best node
-    t0 = theta[np.argsort(vals)[::-1][:4]]
+    t0 = np.concatenate([theta[np.argsort(vals)[::-1][:4]], np.angle(zeros.points)])
+    half = np.concatenate([np.full(4, spacing), np.minimum(spacing, 1.0 - zeros.moduli)])
     refined = _golden_max(lambda t: _frostman_sums(zeros, np.exp(1j * t)),
-                          t0 - spacing, t0 + spacing)
+                          t0 - half, t0 + half)
     return max(float(vals.max()), float(refined.max()))
 
 

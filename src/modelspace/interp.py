@@ -26,6 +26,8 @@ _TABLE_ENTRIES = 1 << 17
 
 # conjugate and Gram solves refuse matrices with a larger condition number
 MAX_CONDITION = 1e12
+# kernel_interpolant warns above this Gram condition number
+WARN_CONDITION = 1e8
 
 
 def _powers(x: np.ndarray, count: int) -> np.ndarray:
@@ -142,15 +144,15 @@ class InterpolantRepresentation:
     Evaluation takes the points in blocks of blaschke.POINT_BLOCK and
     streams over the zeros inside each block, so sampling an n-zero
     interpolant on M nodes allocates the length-M output and a few
-    block-length buffers that stay in cache, not O(n M).  The Lagrange
-    form keeps running numerator and denominator products of the factors
-    (blaschke._lagrange_ladder) and the kernel form a running common
-    denominator; both divide once per group of blaschke.GROUP = 16 zeros,
-    whose comment bounds the products.  The Lagrange form never divides by
-    a factor, and so stays exact at the zeros themselves.  Against dividing
-    by every factor the samples move by about 3e-15 of max|f| (tests:
-    1e-14), more only where the series cancels and either route's own
-    rounding error is that large.
+    block-length buffers that stay in cache, not O(n M).  The kernel form
+    adds one kernel per zero into the block.  The Lagrange form keeps
+    running numerator and denominator products of the factors
+    (blaschke._lagrange_ladder), divides once per group of blaschke.GROUP
+    = 16 zeros, whose comment bounds the products, and never divides by a
+    factor, so it stays exact at the zeros themselves.  Against dividing by
+    every factor its samples move by about 3e-15 of max|f| (tests: 1e-14),
+    more only where the series cancels and either route's own rounding
+    error is that large.
     """
 
     zeros: ZeroSequence
@@ -168,10 +170,14 @@ class InterpolantRepresentation:
         object.__setattr__(self, "coefficients", c)
 
     def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        flat = z.reshape(-1)
         if self.form == "kernel_basis":
-            return _kernel_eval(self.zeros.points, self.coefficients, z)
-        derivatives = blaschke.all_derivatives(BlaschkeProduct(self.zeros))
-        return _lagrange_eval(self.zeros.points, self.coefficients / derivatives, z)
+            out = _kernel_eval(self.zeros.points, self.coefficients, flat)
+        else:
+            derivatives = blaschke.all_derivatives(BlaschkeProduct(self.zeros))
+            (out,) = _lagrange_ladder(self.zeros.points, [self.coefficients / derivatives], flat)
+        return out.reshape(z.shape) if z.shape else complex(out[0])
 
     def sample(self, grid: BoundaryGrid) -> BoundaryFunction:
         return BoundaryFunction(grid, np.asarray(self(grid.nodes), dtype=complex))
@@ -185,32 +191,17 @@ class InterpolantRepresentation:
         }
 
 
-def _kernel_eval(points: np.ndarray, coeffs: np.ndarray, z):
-    # over a common denominator in blaschke's groups of zeros: S <- S D_j + c_j P
-    # and P <- P D_j, D_j = 1 - conj(z_j) z; a group's end leaves S / P, and S goes on
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = np.zeros(flat.size, dtype=complex)
-    _, size = blaschke._grouping(flat)
-    for block, (prod, den, term) in blaschke._point_blocks(flat.size, 3):
+def _kernel_eval(points: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # sum of c_j / (1 - conj(z_j) z) at the flat points z, one kernel per zero
+    # added into each block of the output; the term buffer has block length
+    out = np.zeros(z.size, dtype=complex)
+    for block, (term,) in blaschke._point_blocks(z.size, 1):
         ob = out[block]
-        for j, (zj, cj) in enumerate(zip(points, coeffs)):
-            if j % size == 0:
-                prod.fill(1.0)
-            np.subtract(1.0, np.multiply(np.conj(zj), flat[block], out=den), out=den)
-            ob *= den
-            ob += np.multiply(prod, cj, out=term)
-            prod *= den
-            if (j + 1) % size == 0 or j + 1 == len(points):
-                ob /= prod
-    return out.reshape(z.shape) if z.shape else complex(out[0])
-
-
-def _lagrange_eval(points: np.ndarray, coeffs: np.ndarray, z):
-    # the one-row case of _lagrange_ladder, with the shape of z
-    z = np.asarray(z, dtype=complex)
-    (total,) = _lagrange_ladder(points, [coeffs], z.reshape(-1))
-    return total.reshape(z.shape) if z.shape else complex(total[0])
+        for zj, cj in zip(points, coeffs):
+            np.multiply(np.conj(zj), z[block], out=term)
+            np.subtract(1.0, term, out=term)
+            ob += np.divide(cj, term, out=term)
+    return out
 
 
 def lagrange_interpolant(
@@ -227,7 +218,7 @@ def kernel_interpolant(zeros: ZeroSequence, values: ValueSequence) -> Interpolan
     pts = zeros.points
     gram = 1.0 / (1.0 - np.conj(pts)[None, :] * pts[:, None])
     coeffs, cond = _refined_solve(gram, values.values, "kernel Gram")
-    if cond > 1e8:
+    if cond > WARN_CONDITION:
         warnings.warn(f"kernel Gram matrix is poorly conditioned ({cond:.3e})")
     return InterpolantRepresentation(zeros, coeffs, "kernel_basis", condition=cond)
 

@@ -40,16 +40,19 @@ def test_source_imports_only_declared_dependencies():
         assert third_party <= declared, (path.name, third_party - declared)
 
 
+def _node_names(node):
+    # the names one top-level statement defines: a function, class or assignment
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def _defined_names(path):
-    # the names a module defines at its top level: functions, classes and assignments
-    names = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+    # the names a module defines at its top level
+    return set().union(*map(_node_names, ast.parse(path.read_text(encoding="utf-8")).body))
 
 
 def test_source_takes_private_names_from_their_defining_module():
@@ -73,3 +76,27 @@ def test_source_takes_private_names_from_their_defining_module():
         for module, name in used:
             if name.startswith("_"):
                 assert name in _defined_names(package / f"{module}.py"), (path.name, module, name)
+
+
+def _mentions(node, name):
+    # whether node reads `name` as a plain name, an attribute or an imported alias
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == name)
+        or (isinstance(sub, ast.Attribute) and sub.attr == name)
+        or (isinstance(sub, ast.alias) and sub.name == name)
+        for sub in ast.walk(node)
+    )
+
+
+def test_every_private_source_name_is_used_in_source():
+    # a private top-level name of src/modelspace that no source module uses
+    # outside its own definition serves only the tests, and belongs there
+    paths = sorted((ROOT / "src" / "modelspace").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    tops = [node for tree in trees for node in tree.body]
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
+            for name in _node_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    assert any(_mentions(other, name) for other in tops if other is not node), (
+                        path.name, name)

@@ -1,11 +1,12 @@
 """Blocked samplers, shared grid tables and in-place FFTs, bit for bit.
 
-The samplers take points in blocks of POINT_BLOCK; the grouped streaming
-forms below run the same per-point arithmetic (running numerator and
-denominator products, one division per group of zeros) with every buffer
-as long as the point array, and the spectral expressions below allocate a
-fresh array at every step.  Both are kept here as oracles: the library must
-reproduce them exactly, not to a tolerance.  The one exception is a grid
+The samplers take points in blocks of POINT_BLOCK; the streaming forms
+below run the same per-point arithmetic with every buffer as long as the
+point array (for the product and the Lagrange form, running numerator and
+denominator products with one division per group of zeros; for the kernel
+form, one division per kernel), and the spectral expressions below
+allocate a fresh array at every step.  Both are kept here as oracles: the
+library must reproduce them exactly, not to a tolerance.  The one exception is a grid
 above 2^16 nodes, whose transforms take a radix-2 step over np.fft and are
 held to FFT_RTOL instead.  The per-factor streaming forms, which divide by
 every factor, are the samplers' tolerance oracles (SAMPLER_RTOL).
@@ -30,7 +31,6 @@ from modelspace import (
 from modelspace.blaschke import (
     GROUP,
     POINT_BLOCK,
-    _factor_into,
     _factor_parts,
     _grouping,
     _lagrange_ladder,
@@ -40,7 +40,6 @@ from modelspace.blaschke import (
     blaschke_factor,
 )
 from modelspace.core import ETA_MIN
-from modelspace.interp import _lagrange_eval
 
 # transforms above 2^16 points against np.fft, relative to the transformed
 # function's largest value (at most 3.1e-15 measured on the m = 17 cases below)
@@ -51,12 +50,19 @@ FFT_RTOL = 4e-15
 SAMPLER_RTOL = 1e-14
 
 
+def _per_factor(zj, z, out, den, r=np.inf):
+    # b_j(z) = u_j (z_j - z) / (1 - conj(z_j) z) into out, dividing by the
+    # factor, and 1 - conj(z_j) z into den, with _factor_parts' pole check
+    _factor_parts(zj, z, out, den, r)
+    return np.divide(np.multiply(_unit(zj), out, out=out), den, out=out)
+
+
 def _streaming_product(product, z):
     z = np.asarray(z, dtype=complex)
     out = np.ones(z.shape, dtype=complex)
     fac, den = np.empty_like(out), np.empty_like(out)
     for zj in product.zeros:
-        out *= _factor_into(zj, z, fac, den)
+        out *= _per_factor(zj, z, fac, den)
     return out if out.shape else complex(out)
 
 
@@ -81,7 +87,7 @@ def _streaming_lagrange(zeros, values, z):
     prefix = np.ones(flat.size, dtype=complex)
     fac, den, term = (np.empty_like(total) for _ in range(3))
     for zj, cj in zip(zeros.points, coeffs):
-        _factor_into(zj, flat, fac, den)
+        _per_factor(zj, flat, fac, den)
         np.divide(-_unit(zj) * cj, den, out=term)
         term *= prefix
         total *= fac
@@ -112,26 +118,6 @@ def _streaming_grouped_product(product, z):
         out *= num
         if (j + 1) % size == 0 or j + 1 == len(pts):
             np.divide(np.multiply(out, _group_units(pts, j, size), out=out), dens, out=out)
-    return out.reshape(z.shape) if z.shape else complex(out[0])
-
-
-def _streaming_grouped_kernel(points, coeffs, z):
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    _, size = _grouping(flat)
-    out = np.zeros(flat.size, dtype=complex)
-    prod, den, term = (np.empty_like(out) for _ in range(3))
-    for j, (zj, cj) in enumerate(zip(points, coeffs)):
-        if j % size == 0:
-            prod.fill(1.0)
-        np.multiply(np.conj(zj), flat, out=den)
-        np.subtract(1.0, den, out=den)
-        np.multiply(prod, cj, out=term)
-        out *= den
-        out += term
-        prod *= den
-        if (j + 1) % size == 0 or j + 1 == len(points):
-            out /= prod
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
@@ -191,7 +177,7 @@ def _assert_samplers_bitwise(zeros, values, z):
          _streaming_grouped_product(BlaschkeProduct(zeros), z)),
         (lagrange_interpolant(zeros, values)(z),
          _streaming_grouped_lagrange(zeros, values.values, z)),
-        (kernel(z), _streaming_grouped_kernel(zeros.points, kernel.coefficients, z)),
+        (kernel(z), _streaming_kernel(zeros.points, kernel.coefficients, z)),
     )
     for got, expected in pairs:
         assert np.shape(got) == np.shape(expected)
@@ -245,7 +231,7 @@ def test_lagrange_ladder_matches_per_row_eval(m, lengths):
     got = _lagrange_ladder(zeros.points, _ladder_rows(zeros, values, lengths), z)
     assert got.shape == (len(lengths), z.size)
     for n, row, total in zip(lengths, _ladder_rows(zeros, values, lengths), got):
-        assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
+        assert np.array_equal(total, _lagrange_ladder(zeros.points, [row], z)[0])
         assert np.array_equal(
             total, _streaming_grouped_lagrange(zeros.truncate(n), values.values[:n], z)
         )
@@ -260,7 +246,7 @@ def test_lagrange_ladder_exact_at_zeros(rng):
     got = _lagrange_ladder(zeros.points, _ladder_rows(zeros, values, lengths), z)
     assert np.all(np.isfinite(got))
     for n, row, total in zip(lengths, _ladder_rows(zeros, values, lengths), got):
-        assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
+        assert np.array_equal(total, _lagrange_ladder(zeros.points, [row], z)[0])
         gap = np.abs(total[slots[:n]] - values.values[:n])
         assert np.max(gap) <= 1e-12 * np.max(np.abs(values.values))
 
@@ -317,18 +303,18 @@ def test_lagrange_ladder_across_groups_matches_per_row_eval(n):
     lengths = _straddling_ladder(n)
     rows = _ladder_rows(zeros, values, lengths)
     for k, row, total in zip(lengths, rows, _lagrange_ladder(zeros.points, rows, z)):
-        assert np.array_equal(total, _lagrange_eval(zeros.points, row, z))
+        assert np.array_equal(total, _lagrange_ladder(zeros.points, [row], z)[0])
         assert np.array_equal(
             total, _streaming_grouped_lagrange(zeros.truncate(k), values.values[:k], z)
         )
 
 
 @pytest.mark.parametrize("n", [17, 40])
-def test_samplers_across_groups_match_grouped_streaming_forms(n):
-    # more than one group of zeros over two point blocks: `==` to the grouped
-    # streaming forms; product and kernel within SAMPLER_RTOL of the per-factor
-    # route.  The Lagrange series of these clustered zeros cancels, and the
-    # two routes' samples differ by up to 1.6e-13 of max|f| (n = 40)
+def test_samplers_across_groups_match_streaming_forms(n):
+    # more than one group of zeros over two point blocks: `==` to the streaming
+    # forms; the product within SAMPLER_RTOL of the per-factor route.  The
+    # Lagrange series of these clustered zeros cancels, and the two routes'
+    # samples differ by up to 1.6e-13 of max|f| (n = 40)
     zeros, z = _straddling_zeros(n), BoundaryGrid(15, 0.5).nodes
     coeffs = np.linspace(1.0, 2.0, n) + 0.5j
     product = BlaschkeProduct(zeros)
@@ -336,9 +322,7 @@ def test_samplers_across_groups_match_grouped_streaming_forms(n):
     got = eval_product(product, z)
     assert np.array_equal(got, _streaming_grouped_product(product, z))
     _assert_near_per_factor_route(got, _streaming_product(product, z))
-    got = kernel(z)
-    assert np.array_equal(got, _streaming_grouped_kernel(zeros.points, coeffs, z))
-    _assert_near_per_factor_route(got, _streaming_kernel(zeros.points, coeffs, z))
+    assert np.array_equal(kernel(z), _streaming_kernel(zeros.points, coeffs, z))
     assert np.array_equal(lagrange_interpolant(zeros, ValueSequence(coeffs))(z),
                           _streaming_grouped_lagrange(zeros, coeffs, z))
 
@@ -393,6 +377,24 @@ def test_reflected_pole_raises_in_any_block(rng, index):
         f(z)
 
 
+@pytest.mark.parametrize("zj", [0.0, 0.5, -0.9j, 0.3 - 0.6j, 0.7 + 0.1j, (1 - 1e-6) * np.exp(2j)])
+def test_blaschke_factor_is_the_one_zero_product(rng, zj):
+    # the one-zero case of the product pass, with the product's shapes; within
+    # 1e-15 of the plain expression at every point (4.0e-16 measured)
+    z = np.concatenate([BoundaryGrid(12, 0.5).nodes, _interior(rng, 2001), [zj]])
+    product = BlaschkeProduct(ZeroSequence([zj]))
+    got = blaschke_factor(zj, z)
+    assert np.array_equal(got, eval_product(product, z))
+    assert got[-1] == 0
+    unit = -1.0 if zj == 0 else abs(zj) / zj
+    plain = unit * (zj - z) / (1.0 - np.conj(zj) * z)
+    assert np.all(np.abs(got - plain) <= 1e-15 * np.abs(plain))
+    for shaped in (complex(z[5]), z[:2001].reshape(3, 667), np.empty(0, dtype=complex)):
+        got, expected = blaschke_factor(zj, shaped), eval_product(product, shaped)
+        assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)
+
+
 def test_pole_check_stays_for_a_zero_ulps_from_the_circle():
     # |z_j| r (1 + 8 eps) >= 1 for z_j = 1 - 2^-52 and points out to r = 1 + 2^-52,
     # so every point is checked; conj(z_j) (1 + 2^-52) rounds to 1, and den is 0
@@ -403,13 +405,13 @@ def test_pole_check_stays_for_a_zero_ulps_from_the_circle():
     r = np.abs(z).max()
     fac, den = np.empty(POINT_BLOCK, dtype=complex), np.empty(POINT_BLOCK, dtype=complex)
     with pytest.raises(ZeroDivisionError):
-        _factor_into(zj, z[POINT_BLOCK:], fac, den, r)
+        _per_factor(zj, z[POINT_BLOCK:], fac, den, r)
     with pytest.raises(ZeroDivisionError):
         _lagrange_ladder(np.array([0.5, zj]), [np.ones(2)], z)
     # on points of the circle the check finds no pole, and the gate changes no bits
-    unchecked = _factor_into(0.5, z[:POINT_BLOCK], fac, den, 1.0).copy()
-    assert np.array_equal(unchecked, _factor_into(0.5, z[:POINT_BLOCK], fac, den))
-    assert np.array_equal(_factor_into(zj, z[:POINT_BLOCK], fac, den, r),
+    unchecked = _per_factor(0.5, z[:POINT_BLOCK], fac, den, 1.0).copy()
+    assert np.array_equal(unchecked, _per_factor(0.5, z[:POINT_BLOCK], fac, den))
+    assert np.array_equal(_per_factor(zj, z[:POINT_BLOCK], fac, den, r),
                           blaschke_factor(zj, z[:POINT_BLOCK]))
 
 
@@ -419,10 +421,10 @@ def test_pole_check_skipped_when_the_bound_rules_the_pole_out():
     z = np.array([0.3, 2.0], dtype=complex)
     fac, den = np.empty_like(z), np.empty_like(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _factor_into(0.5, z, fac, den, 1.0)
+        out = _per_factor(0.5, z, fac, den, 1.0)
     assert den[1] == 0 and not np.isfinite(out[1])
     with pytest.raises(ZeroDivisionError):
-        _factor_into(0.5, z, fac, den, 2.0)
+        _per_factor(0.5, z, fac, den, 2.0)
 
 
 @pytest.mark.parametrize("m", [4, 12, 17])
