@@ -3,7 +3,7 @@
 A product is determined by its zero sequence; each factor is normalized
 so the product is positive at the origin when no zero sits there, with
 the usual convention that a factor with zero at the origin is plain z.
-All evaluations accept scalars or numpy arrays of points with |z| <= 1.
+All evaluations take scalars or arrays of points with |z| <= 1, else ValueError.
 """
 
 from __future__ import annotations
@@ -22,19 +22,24 @@ POINT_BLOCK = 1 << 14
 GOLDEN_ITERS = 80  # golden-section steps of the frostman_sup refinement
 
 # zeros per group of _lagrange_ladder's running products of z_j - z and of
-# D_j = 1 - conj(z_j) z, divided once per group.  For |z| <= r each factor has
-# modulus <= 1 + r: a group's products stay within 2^16 on the closed disk, where
-# prod |D_j| >= prod (1 - |z_j|) >= 2^-848 (a double |z_j| < 1 is <= 1 - 2^-53).
-# Beyond the disk G shrinks to keep (1 + r)^G <= 2^500, which leaves the other
-# 2^500 of the range to the running product or sum that enters the group
+# D_j = 1 - conj(z_j) z, divided once per group.  Points lie in the closed disk
+# (_at_points) and zeros within 1 - ETA_MIN of the origin, so |z_j - z| < 2 + 4 eps
+# and |D_j| >= 1 - |z_j| |z| > ETA_MIN - 4 eps: a group's products stay within
+# 2^17 and above 2^-320, and the rest of the range is left to the running
+# product or sum that enters the group
 GROUP = 16
 
 
-def _grouping(z: np.ndarray):
-    # (r, G): r = max |z| over the points that are not NaN (a NaN point is no
-    # pole and leaves the groups of the others alone), and the group size G
-    r = np.fmax.reduce(np.abs(z), initial=0.0)
-    return r, max(1, min(GROUP, int(500.0 / max(1.0, math.log2(1.0 + r)))))
+def _at_points(fn, z):
+    # fn at the flat points of z, given z's shape (a complex for a scalar z): the
+    # one entry of every evaluator.  NaN, and any point beyond the closed disk by
+    # more than a few ulps of rounding, raise ValueError
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    if not np.all(np.abs(flat) <= 1.0 + 4 * np.finfo(float).eps):
+        raise ValueError("evaluation points must lie in the closed unit disk")
+    out = fn(flat)
+    return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
 def _point_blocks(n: int, buffers: int):
@@ -49,23 +54,16 @@ def _unit(zj: complex) -> complex:
     return -1.0 + 0.0j if zj == 0 else abs(zj) / zj
 
 
-def _factor_parts(zj: complex, z: np.ndarray, num, den, r: float):
-    # z_j - z into num and 1 - conj(z_j) z into den, both preallocated like z.
-    # den == 0 (NaN passes) is checked unless |z_j| r (1 + 8 eps) < 1, r >= max|z|:
-    # then the roundings of |z_j|, r and the products, under 8 eps in all, leave
-    # the computed |conj(z_j) z| < 1, so Re den > 0.  A NaN r keeps the check
+def _factor_parts(zj: complex, z: np.ndarray, num, den):
+    # z_j - z into num and 1 - conj(z_j) z into den, both preallocated like z
     np.multiply(np.conj(zj), z, out=den)
     np.subtract(1.0, den, out=den)
-    if not abs(zj) * r * (1.0 + 8 * np.finfo(float).eps) < 1.0 and not np.all(den):
-        raise ZeroDivisionError("evaluation point is the reflected pole of the factor")
     return np.subtract(zj, z, out=num), den
 
 
 def blaschke_factor(zj: complex, z) -> np.ndarray | complex:
     """Single factor (|z_j|/z_j) (z_j - z) / (1 - conj(z_j) z): the one-zero product."""
-    z = np.asarray(z, dtype=complex)
-    (out,) = _lagrange_ladder(np.array([zj], dtype=complex), [], z.reshape(-1), [1])
-    return out.reshape(z.shape) if z.shape else complex(out[0])
+    return eval_product(BlaschkeProduct(ZeroSequence([zj])), z)
 
 
 @dataclass(frozen=True)
@@ -96,18 +94,17 @@ def _lagrange_ladder(points: np.ndarray, rows, z: np.ndarray, rungs=()) -> np.nd
     # zeros, no 0/0.  Each output row gets the operations of its one-row pass in
     # the same order, so rung n is eval_product of n zeros bit for bit
     out = np.zeros((len(rows) + len(rungs), z.size), dtype=complex)
-    r, size = _grouping(z)
     count = max([*map(len, rows), *rungs], default=0)
     units = []  # C after each zero: the product of its group's units up to it
     for j, zj in enumerate(points[:count]):
-        units.append(units[-1] * _unit(zj) if j % size else _unit(zj))
+        units.append(units[-1] * _unit(zj) if j % GROUP else _unit(zj))
     for block, (prefix, dens, num, den) in _point_blocks(z.size, 4):
         prefix.fill(1.0)
         for j, zj in enumerate(points[:count]):
-            _factor_parts(zj, z[block], num, den if j % size else dens, r)
-            if j % size:
+            _factor_parts(zj, z[block], num, den if j % GROUP else dens)
+            if j % GROUP:
                 dens *= den
-            end = (j + 1) % size == 0
+            end = (j + 1) % GROUP == 0
             for row, tot in zip(rows, out[:, block]):
                 if j < len(row):
                     tot *= num
@@ -124,19 +121,18 @@ def _lagrange_ladder(points: np.ndarray, rows, z: np.ndarray, rungs=()) -> np.nd
 
 
 def eval_product(product: BlaschkeProduct, z):
-    """Value of the product at z (scalar or array), |z| <= 1.
+    """Value of the product at z (scalar or array) in the closed disk.
 
-    In blocks of POINT_BLOCK points, each zero multiplies z_j - z into the
-    running product and 1 - conj(z_j) z into a running denominator D; every
-    GROUP = 16 zeros (fewer beyond the disk) the product takes C / D, C the
-    group's units, and D starts over, so no step divides and nothing over-
-    or underflows.  Against the per-factor product b_1 b_2 ... values move
-    by about 3e-15 relative (tests: 1e-14).  The output is the only array as
-    long as z; the four other buffers have block length.
+    NaN or |z| > 1 beyond a few ulps raises ValueError.  In blocks of
+    POINT_BLOCK points, each zero multiplies z_j - z into the running
+    product and 1 - conj(z_j) z into a running denominator D; every
+    GROUP = 16 zeros the product takes C / D, C the group's units, and D
+    starts over, so no step divides and nothing over- or underflows.
+    Against the per-factor product b_1 b_2 ... values move by about 3e-15
+    relative (tests: 1e-14).  The output is the only array as long as z.
     """
-    z = np.asarray(z, dtype=complex)
-    (out,) = _lagrange_ladder(product.zeros.points, [], z.reshape(-1), [len(product)])
-    return out.reshape(z.shape) if z.shape else complex(out[0])
+    points, rungs = product.zeros.points, [len(product)]
+    return _at_points(lambda flat: _lagrange_ladder(points, [], flat, rungs)[0], z)
 
 
 def _rung_derivatives(zeros: ZeroSequence) -> np.ndarray:

@@ -371,9 +371,9 @@ def bmo_norm(f: BoundaryFunction) -> float:
     give for every arc in O(1); a rounding slack of 16 eps (sum of |c|^2
     over the doubled array / L + mean |c|^2) on each variance keeps the
     bound above the deviation under cancellation.  The RMS rows of the
-    lengths L >= 128, and always of L = M, are built first, and the
-    running maximum starts at the exact deviation of the arc with the
-    largest of their bounds.  The lengths are then taken from the longest
+    lengths L >= 128, and of L = M at offset 0 alone (the whole circle),
+    are built first, and the running maximum starts at the exact
+    deviation of the arc with the largest of their bounds.  The lengths are then taken from the longest
     down.  A shorter row is built only if the enclosing-arc bound allows
     an arc above the running maximum: with L2 >= 2L the nearest built
     length, every arc of length L starting in [jL, (j+1)L) lies inside the
@@ -406,6 +406,7 @@ def bmo_norm(f: BoundaryFunction) -> float:
     np.cumsum(c.real**2 + c.imag**2, out=p2[1:])
     lengths = [M >> k for k in range(f.grid.m - 1)]  # M, M/2, ..., 4
     rows = {L: _rms_bound_row(p1, p2, L) for L in lengths if L >= 128 or L == M}
+    rows[M] = rows[M][:1]  # every arc of length M is the whole circle
     top = max(rows, key=lambda L: rows[L].max())
     best = _arc_oscillation_at(ext, top, rows[top].argmax(keepdims=True))
     round_up = 1.0 + 8 * np.finfo(float).eps

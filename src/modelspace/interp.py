@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blaschke
-from .blaschke import BlaschkeProduct, _lagrange_ladder
+from .blaschke import BlaschkeProduct, _at_points, _lagrange_ladder
 from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, _require_h2, tilde
 from .core import DiagnosticsReport, ValueSequence, ZeroSequence
 
@@ -52,25 +52,25 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
 
     Raises if f has more than tol relative energy in negative modes, or if
     a point lies outside the closed disk (|z| > 1 beyond a few ulps of
-    rounding), where the truncated series is meaningless and its powers
-    overflow.
+    rounding, or NaN, as for every evaluator), where the truncated series is
+    meaningless and its powers overflow.
     """
     _require_h2(f, "cauchy_eval input", tol)
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    if not np.all(np.abs(flat) <= 1.0 + 4 * np.finfo(float).eps):
-        raise ValueError("cauchy_eval points must lie in the closed unit disk")
     K = 1 << ((f.grid.m - 1) // 2)
     blocks = f.spectrum[: f.grid.size // 2].reshape(-1, K).T  # [b, a] = c[a K + b]
     G = blocks.shape[1]  # G >= K
-    out = np.empty(flat.size, dtype=complex)
     step = max(1, _TABLE_ENTRIES // G)
-    for lo in range(0, flat.size, step):
-        zc = flat[lo : lo + step, None]
-        baby = _powers(zc, K)  # z**b
-        giant = _powers(baby[:, -1:] * zc, G)  # (z**K)**a
-        out[lo : lo + step] = np.sum((baby @ blocks) * giant, axis=1)
-    return out.reshape(z.shape) if z.shape else complex(out[0])
+
+    def series(flat):
+        out = np.empty(flat.size, dtype=complex)
+        for lo in range(0, flat.size, step):
+            zc = flat[lo : lo + step, None]
+            baby = _powers(zc, K)  # z**b
+            giant = _powers(baby[:, -1:] * zc, G)  # (z**K)**a
+            out[lo : lo + step] = np.sum((baby @ blocks) * giant, axis=1)
+        return out
+
+    return _at_points(series, z)
 
 
 def _polar_lattice_eval(f: BoundaryFunction, radii: np.ndarray, angles: int, tol: float):
@@ -141,7 +141,7 @@ class InterpolantRepresentation:
                            with c_j the interpolated values themselves.
     form = "kernel_basis": f(z) = sum_j c_j / (1 - conj(z_j) z).
 
-    Evaluation takes the points in blocks of blaschke.POINT_BLOCK and
+    Evaluation takes closed-disk points in blocks of blaschke.POINT_BLOCK and
     streams over the zeros inside each block, so sampling an n-zero
     interpolant on M nodes allocates the length-M output and a few
     block-length buffers that stay in cache, not O(n M).  The kernel form
@@ -170,14 +170,11 @@ class InterpolantRepresentation:
         object.__setattr__(self, "coefficients", c)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        flat = z.reshape(-1)
+        points, c = self.zeros.points, self.coefficients
         if self.form == "kernel_basis":
-            out = _kernel_eval(self.zeros.points, self.coefficients, flat)
-        else:
-            derivatives = blaschke.all_derivatives(BlaschkeProduct(self.zeros))
-            (out,) = _lagrange_ladder(self.zeros.points, [self.coefficients / derivatives], flat)
-        return out.reshape(z.shape) if z.shape else complex(out[0])
+            return _at_points(lambda flat: _kernel_eval(points, c, flat), z)
+        rows = [c / blaschke.all_derivatives(BlaschkeProduct(self.zeros))]
+        return _at_points(lambda flat: _lagrange_ladder(points, rows, flat)[0], z)
 
     def sample(self, grid: BoundaryGrid) -> BoundaryFunction:
         return BoundaryFunction(grid, np.asarray(self(grid.nodes), dtype=complex))

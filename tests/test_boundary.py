@@ -637,6 +637,28 @@ def test_bmo_best_first_cuts_exact_evaluations(monkeypatch, angle_step, parent_c
     assert values == [division_form_bmo(f) for f in inputs]
 
 
+@pytest.mark.parametrize("m", [12, 13])
+def test_bmo_evaluates_the_whole_circle_once(monkeypatch, m):
+    # f = z: every offset's bounds exceed the whole-circle maximum by their
+    # slack, and the scan took all M arcs of length M (4,097 at m = 12 with
+    # the seed); each is the whole circle, so only offset 0 is evaluated, by
+    # the seed and by the scan of length M.  The value is that of another
+    # offset up to rounding
+    lengths = []
+    exact = boundary._arc_oscillation_at
+
+    def counting(ext, length, offsets):
+        lengths.extend([length] * offsets.size)
+        return exact(ext, length, offsets)
+
+    f = BoundaryFunction.from_callable(BoundaryGrid(m), lambda z: z)
+    monkeypatch.setattr(boundary, "_arc_oscillation_at", counting)
+    value = bmo_norm(f)
+    assert lengths == [1 << m] * 2
+    expected = abs(complex(np.mean(f.samples))) + _all_offsets(f.samples, 1 << m)
+    assert abs(value - expected) <= 1e-15 * expected
+
+
 def test_bmo_keeps_the_deep_values_at_a_nonzero_angle_step():
     # rungs 4 and 12 of exp_noninterpolation at q = 0.5, n = 12, m = 17,
     # angle step 0.13, where thousands of arcs of length M/4 survive both bounds

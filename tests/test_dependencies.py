@@ -100,3 +100,51 @@ def test_every_private_source_name_is_used_in_source():
                 if name.startswith("_") and not name.startswith("__"):
                     assert any(_mentions(other, name) for other in tops if other is not node), (
                         path.name, name)
+
+
+def _functions(tree):
+    # (qualified name, node) of every top-level function and method of a module
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _callee(call):
+    # the name a call calls, plainly or as an attribute
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _points_checked(node, names):
+    # whether node reads its parameter z, and only ever as an argument of a
+    # call to one of the names
+    passed = {id(arg) for sub in ast.walk(node) if isinstance(sub, ast.Call)
+              and _callee(sub) in names for arg in sub.args + [kw.value for kw in sub.keywords]}
+    uses = [sub for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == "z"]
+    return bool(uses) and all(id(sub) in passed for sub in uses)
+
+
+def test_every_point_evaluator_checks_the_closed_disk():
+    # every public function or method of blaschke and interp with a parameter
+    # z hands z only to _at_points, which refuses points outside the closed
+    # disk, or to a public evaluator that does: a new evaluator, or a branch
+    # of one, cannot take its points another way
+    pending = {}
+    for module in ("blaschke", "interp"):
+        source = (ROOT / "src" / "modelspace" / f"{module}.py").read_text(encoding="utf-8")
+        for qualname, node in _functions(ast.parse(source)):
+            public = not node.name.startswith("_") or node.name.endswith("__")
+            if public and "z" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]:
+                pending[qualname] = node
+    assert {"blaschke_factor", "eval_product", "sublevel_indicator", "cauchy_eval",
+            "InterpolantRepresentation.__call__"} <= set(pending)
+    checked = {"_at_points"}
+    while pending:
+        passed = [name for name, node in pending.items() if _points_checked(node, checked)]
+        assert passed, sorted(pending)
+        for name in passed:
+            checked.add(pending.pop(name).name)

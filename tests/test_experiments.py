@@ -192,24 +192,27 @@ def test_nonduality_one_factor_pass_per_zero(monkeypatch):
 
 
 def test_noninterpolation_factor_passes(monkeypatch):
-    # exp_noninterpolation samples the product once and every Lagrange rung in
-    # one more pass: 2n at most (the per-rung series took
+    # exp_noninterpolation takes its trace from phi itself, with no sample of
+    # the product, and samples every Lagrange rung in one pass: n passes, one
+    # per zero in order (2n with the projection; the per-rung series took
     # 12 + 4 + 6 + 8 + 10 + 12 = 52 for n = 12)
     zeros = generate_sequence("rotated_radial", q=0.7, n=12, angle_step=0.13)
     calls = _counted_factor_passes(monkeypatch)
     exp_noninterpolation(zeros, m=12)
-    assert len(calls) <= 2 * 12
+    assert calls == list(zeros.points)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_pipelines_on_the_shortest_sequences(n):
     # the ladder of n <= 4 zeros is 1, ..., n, so its last rung is the full
-    # product, and value preservation reads the same g as a fresh sample of B
+    # product, and value preservation reads the same g as a fresh sample of B;
+    # the interpolants are those of the trace of phi, one per rung
     zeros = generate_sequence("rotated_radial", q=0.7, n=n, angle_step=0.13)
     dual = exp_nonduality(zeros, m=10)
     interp = exp_noninterpolation(zeros, m=10)
     assert [s[1] for s in dual.series if s[0] == "coanalytic_bmo"] == list(range(1, n + 1))
-    assert [s[1] for s in interp.series if s[0] == "interpolant_bmo"] == list(range(1, n + 1))
+    assert [s for s in interp.series if s[0] == "interpolant_bmo"] == (
+        _per_rung_interpolant_bmo(zeros, 10))
     phi, g_at = _projected_log_at(zeros, 10)
     residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
     assert _series(dual, "value_preservation_residual") == list(residuals)
@@ -387,12 +390,14 @@ def test_dichotomy_conjugate_values_match_per_rung_and_mpmath(case, rng):
 
 
 def _per_rung_interpolant_bmo(zeros, m):
-    # the per-rung Lagrange interpolants exp_noninterpolation sampled before
-    # its derivative ladder, kept as its oracle
-    phi, g_at = _projected_log_at(zeros, m)
+    # the per-rung Lagrange interpolants of the trace of phi = P_+ log(1 - z)
+    # that exp_noninterpolation sampled before its derivative ladder, kept as
+    # its oracle
+    phi = log_samples(BoundaryGrid(m, offset=0.5))
+    trace_at = cauchy_eval(phi, zeros.points)
     series = []
     for n in _truncation_ladder(len(zeros)):
-        interp = lagrange_interpolant(zeros.truncate(n), ValueSequence(g_at[:n]))
+        interp = lagrange_interpolant(zeros.truncate(n), ValueSequence(trace_at[:n]))
         series.append(("interpolant_bmo", n, bmo_norm(interp.sample(phi.grid))))
     return series
 

@@ -11,6 +11,7 @@ from modelspace import (
     BoundaryGrid,
     ValueSequence,
     ZeroSequence,
+    blaschke_factor,
     cauchy_eval,
     conjugate_matrix,
     conjugate_sequence,
@@ -26,7 +27,7 @@ from modelspace import (
     residue_identity_check,
     trace,
 )
-from modelspace.blaschke import all_derivatives, sublevel_indicator
+from modelspace.blaschke import POINT_BLOCK, all_derivatives, sublevel_indicator
 from modelspace.experiments import SUBLEVEL_ANGLES, SUBLEVEL_DEPTH
 from modelspace.interp import _polar_lattice_eval
 
@@ -156,14 +157,44 @@ def test_cauchy_eval_origin_and_shapes(rng):
     assert np.array_equal(got.reshape(-1), cauchy_eval(f, pts.reshape(-1)))
 
 
-def test_cauchy_eval_rejects_points_outside_disk():
-    grid = BoundaryGrid(12)
-    f = _analytic(12, 2)
-    for bad in (1.0 + 1e-9, 2.0j, np.array([0.1, 0.5 + 0.9j]), np.nan):
-        with pytest.raises(ValueError):
-            cauchy_eval(f, bad)
-    on_circle = cauchy_eval(f, grid.nodes[:64])  # |z| = 1 up to rounding stays legal
-    assert np.allclose(on_circle, f.samples[:64], atol=1e-10)
+def _evaluator(name):
+    # one public evaluator of points, as a function of the points alone
+    zeros, values = _zeros(0.5, 0.25j), ValueSequence([1.0, 2.0j])
+    product, f = BlaschkeProduct(zeros), _analytic(12, 2)
+    return {
+        "eval_product": lambda z: eval_product(product, z),
+        "blaschke_factor": lambda z: blaschke_factor(0.5, z),
+        "lagrange": lagrange_interpolant(zeros, values),
+        "kernel_basis": kernel_interpolant(zeros, values),
+        "sublevel_indicator": lambda z: sublevel_indicator(product, 0.5, z),
+        "cauchy_eval": lambda z: cauchy_eval(f, z),
+    }[name]
+
+
+EVALUATORS = ["eval_product", "blaschke_factor", "lagrange", "kernel_basis",
+              "sublevel_indicator", "cauchy_eval"]
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_every_evaluator_rejects_points_outside_disk(name, rng):
+    # every evaluator takes the closed disk, up to 4 eps of rounding, and
+    # nothing else: just outside, far out, the reflected poles 1 / conj(z_j)
+    # of the zeros 0.5 and 0.25j, NaN, and one bad point in the second block
+    evaluate = _evaluator(name)
+    far = _disk_points(rng, POINT_BLOCK + 10)
+    far[POINT_BLOCK + 3] = 1.0 + 1e-9
+    bad = (1.0 + 1e-9, 2.0, 2.0j, 4.0j, np.array([0.1, 0.5 + 0.9j]), np.nan,
+           complex(0.1, np.nan), np.array([0.3, np.nan]), far)
+    for z in bad:
+        with pytest.raises(ValueError, match="closed unit disk"):
+            evaluate(z)
+    nodes = BoundaryGrid(12).nodes[:64]
+    eps = np.finfo(float).eps
+    for z in (nodes, nodes * (1.0 + 2 * eps), nodes * (1.0 - 2 * eps)):
+        got = evaluate(z)
+        assert np.shape(got) == z.shape and np.all(np.isfinite(got))
+    if name == "cauchy_eval":  # |z| = 1 up to rounding: the samples themselves
+        assert np.allclose(evaluate(nodes), _analytic(12, 2).samples[:64], atol=1e-10)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -406,11 +437,12 @@ def test_interpolant_matches_oracles_property(m, n, seed, radii):
 
 
 def test_lagrange_raises_at_reflected_pole():
-    # 1 - conj(z_j) z is exactly 0 at z = 1 / conj(z_j) for these zeros
+    # 1 - conj(z_j) z is exactly 0 at z = 1 / conj(z_j) for these zeros, a
+    # point outside the closed disk: refused before any factor is formed
     zeros = _zeros(0.5, 0.25j)
     f = lagrange_interpolant(zeros, ValueSequence([1.0, 2.0j]))
     for pole in (2.0, 4.0j, np.array([0.1, 2.0])):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="closed unit disk"):
             f(pole)
 
 

@@ -32,7 +32,6 @@ from modelspace.blaschke import (
     GROUP,
     POINT_BLOCK,
     _factor_parts,
-    _grouping,
     _lagrange_ladder,
     _rung_derivatives,
     _unit,
@@ -50,10 +49,10 @@ FFT_RTOL = 4e-15
 SAMPLER_RTOL = 1e-14
 
 
-def _per_factor(zj, z, out, den, r=np.inf):
+def _per_factor(zj, z, out, den):
     # b_j(z) = u_j (z_j - z) / (1 - conj(z_j) z) into out, dividing by the
-    # factor, and 1 - conj(z_j) z into den, with _factor_parts' pole check
-    _factor_parts(zj, z, out, den, r)
+    # factor, and 1 - conj(z_j) z into den
+    _factor_parts(zj, z, out, den)
     return np.divide(np.multiply(_unit(zj), out, out=out), den, out=out)
 
 
@@ -106,15 +105,14 @@ def _group_units(points, j, size):
 
 def _streaming_grouped_product(product, z):
     z = np.asarray(z, dtype=complex)
-    flat, pts = z.reshape(-1), product.zeros.points
-    r, size = _grouping(flat)
+    flat, pts, size = z.reshape(-1), product.zeros.points, GROUP
     out = np.ones(flat.size, dtype=complex)
     num, den, dens = (np.empty_like(out) for _ in range(3))
     for j, zj in enumerate(pts):
         if j % size:
-            dens *= _factor_parts(zj, flat, num, den, r)[1]
+            dens *= _factor_parts(zj, flat, num, den)[1]
         else:
-            _factor_parts(zj, flat, num, dens, r)
+            _factor_parts(zj, flat, num, dens)
         out *= num
         if (j + 1) % size == 0 or j + 1 == len(pts):
             np.divide(np.multiply(out, _group_units(pts, j, size), out=out), dens, out=out)
@@ -123,15 +121,14 @@ def _streaming_grouped_product(product, z):
 
 def _streaming_grouped_lagrange(zeros, values, z):
     z = np.asarray(z, dtype=complex)
-    flat, pts = z.reshape(-1), zeros.points
+    flat, pts, size = z.reshape(-1), zeros.points, GROUP
     coeffs = values / all_derivatives(BlaschkeProduct(zeros))
-    r, size = _grouping(flat)
     total = np.zeros(flat.size, dtype=complex)
     prefix = np.ones(flat.size, dtype=complex)
     num, den, dens, term = (np.empty_like(total) for _ in range(4))
     for j, (zj, cj) in enumerate(zip(pts, coeffs)):
         first = j % size == 0
-        _factor_parts(zj, flat, num, dens if first else den, r)
+        _factor_parts(zj, flat, num, dens if first else den)
         if not first:
             dens *= den
         np.multiply(prefix, -cj, out=term)
@@ -343,41 +340,34 @@ def test_near_boundary_product_at_and_near_zeros(rng):
 
 
 @pytest.mark.parametrize("radius", [1e3, 1e30])
-def test_points_far_outside_the_disk_stay_finite(rng, radius):
-    # the group shrinks with max|z| (to 5 zeros at 1e30), so every value the
-    # per-factor route keeps finite stays finite
+def test_points_far_outside_the_disk_are_rejected(rng, radius):
+    # every sampler refuses points outside the closed disk, so no group size
+    # or pole check has to cover them
     far = radius * np.exp(2j * np.pi * rng.uniform(size=1000))
-    assert _grouping(far)[1] == {1e3: GROUP, 1e30: 5}[radius]
     zeros, values = _instance()
-    kernel = kernel_interpolant(zeros, values)
-    long = _straddling_zeros(40)
-    pairs = [
-        (eval_product(BlaschkeProduct(seq), far), _streaming_product(BlaschkeProduct(seq), far))
-        for seq in (zeros, long)
-    ] + [
-        (lagrange_interpolant(zeros, values)(far), _streaming_lagrange(zeros, values.values, far)),
-        (kernel(far), _streaming_kernel(zeros.points, kernel.coefficients, far)),
-    ]
-    for got, expected in pairs:
-        finite = np.isfinite(expected)
-        assert np.any(finite)
-        assert np.all(np.isfinite(got[finite]))
+    for product in (BlaschkeProduct(zeros), BlaschkeProduct(_straddling_zeros(40))):
+        with pytest.raises(ValueError, match="closed unit disk"):
+            eval_product(product, far)
+    for interpolant in (lagrange_interpolant(zeros, values), kernel_interpolant(zeros, values)):
+        with pytest.raises(ValueError, match="closed unit disk"):
+            interpolant(far)
 
 
 @pytest.mark.parametrize("index", [3, POINT_BLOCK + 7, 2 * POINT_BLOCK + 4])
 def test_reflected_pole_raises_in_any_block(rng, index):
-    # 1 - conj(0.5) 2 is exactly 0; the pole sits in the first, second or last block
+    # 1 - conj(0.5) 2 is exactly 0; the pole, outside the closed disk, sits in
+    # the first, second or last block and is refused before any factor
     zeros = ZeroSequence([0.5, 0.25j])
     f = lagrange_interpolant(zeros, ValueSequence([1.0, 2.0j]))
     z = _interior(rng, 2 * POINT_BLOCK + 5)
     z[index] = 2.0
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="closed unit disk"):
         eval_product(BlaschkeProduct(zeros), z)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="closed unit disk"):
         f(z)
 
 
-@pytest.mark.parametrize("zj", [0.0, 0.5, -0.9j, 0.3 - 0.6j, 0.7 + 0.1j, (1 - 1e-6) * np.exp(2j)])
+@pytest.mark.parametrize("zj", [0.0, 0.5, -0.9j, 0.3 - 0.6j, 0.7 + 0.1j, (1 - 2e-6) * np.exp(2j)])
 def test_blaschke_factor_is_the_one_zero_product(rng, zj):
     # the one-zero case of the product pass, with the product's shapes; within
     # 1e-15 of the plain expression at every point (4.0e-16 measured)
@@ -396,35 +386,36 @@ def test_blaschke_factor_is_the_one_zero_product(rng, zj):
 
 
 def test_pole_check_stays_for_a_zero_ulps_from_the_circle():
-    # |z_j| r (1 + 8 eps) >= 1 for z_j = 1 - 2^-52 and points out to r = 1 + 2^-52,
-    # so every point is checked; conj(z_j) (1 + 2^-52) rounds to 1, and den is 0
+    # the pole 1 + 2^-52 of the zero 1 - 2^-52 lies within the 4 eps of
+    # rounding the closed disk admits, and 1 - conj(z_j) (1 + 2^-52) rounds to
+    # 0; the circle margin ETA_MIN refuses such a zero, so no pole is reached
     zj, pole = 1.0 - 2.0**-52, 1.0 + 2.0**-52
     assert 1.0 - np.conj(zj) * pole == 0
     z = BoundaryGrid(15).nodes.copy()
     z[POINT_BLOCK + 7] = pole
-    r = np.abs(z).max()
-    fac, den = np.empty(POINT_BLOCK, dtype=complex), np.empty(POINT_BLOCK, dtype=complex)
-    with pytest.raises(ZeroDivisionError):
-        _per_factor(zj, z[POINT_BLOCK:], fac, den, r)
-    with pytest.raises(ZeroDivisionError):
-        _lagrange_ladder(np.array([0.5, zj]), [np.ones(2)], z)
-    # on points of the circle the check finds no pole, and the gate changes no bits
-    unchecked = _per_factor(0.5, z[:POINT_BLOCK], fac, den, 1.0).copy()
-    assert np.array_equal(unchecked, _per_factor(0.5, z[:POINT_BLOCK], fac, den))
-    assert np.array_equal(_per_factor(zj, z[:POINT_BLOCK], fac, den, r),
-                          blaschke_factor(zj, z[:POINT_BLOCK]))
+    with pytest.raises(ValueError, match="ETA_MIN"):
+        blaschke_factor(zj, z)
+    with pytest.raises(ValueError, match="ETA_MIN"):
+        lagrange_interpolant(ZeroSequence([0.5, zj]), ValueSequence([1.0, 1.0]))
+    # the point itself is admitted, and a zero at the margin keeps it finite
+    at_margin = BlaschkeProduct(ZeroSequence([0.5, 1.0 - ETA_MIN]))
+    assert np.all(np.isfinite(eval_product(at_margin, z)))
 
 
 def test_pole_check_skipped_when_the_bound_rules_the_pole_out():
-    # an r below the true max|z| breaks the contract: the pole at 2 = 1 / 0.5
-    # then goes unchecked, which shows that the bound does skip the check
-    z = np.array([0.3, 2.0], dtype=complex)
+    # there is no pole check: for zeros within 1 - ETA_MIN of the origin and
+    # points of the closed disk, |1 - conj(z_j) z| > ETA_MIN - 4 eps, the bound
+    # of GROUP's comment, and the reflected pole 2 = 1 / 0.5 is refused as a
+    # point outside the disk
+    eps = np.finfo(float).eps
+    zj = (1.0 - ETA_MIN) * np.exp(0.7j)
+    z = np.concatenate([BoundaryGrid(12).nodes, [np.exp(0.7j) * (1.0 + 2 * eps)]])
     fac, den = np.empty_like(z), np.empty_like(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _per_factor(0.5, z, fac, den, 1.0)
-    assert den[1] == 0 and not np.isfinite(out[1])
-    with pytest.raises(ZeroDivisionError):
-        _per_factor(0.5, z, fac, den, 2.0)
+    _per_factor(zj, z, fac, den)
+    assert np.abs(den).min() > ETA_MIN - 4 * eps
+    assert np.all(np.isfinite(eval_product(BlaschkeProduct(ZeroSequence([zj])), z)))
+    with pytest.raises(ValueError, match="closed unit disk"):
+        eval_product(BlaschkeProduct(ZeroSequence([0.5])), np.array([0.3, 2.0]))
 
 
 @pytest.mark.parametrize("m", [4, 12, 17])
