@@ -27,15 +27,27 @@ _ARC_GATHER = 1 << 16  # entries per gathered chunk of the arc kernels (1 MB, st
 
 @lru_cache(maxsize=8)
 def _grid_tables(m: int, offset: float):
-    # nodes, modes and FFT phase of one (m, offset), built once and shared
+    # nodes and FFT phase of one (m, offset), built once and shared.  The plain
+    # grid's phase is exactly 1 at every mode, so it is a read-only stride-0
+    # view; the half-offset phase builds its modes locally and drops them
     M = 1 << m
-    t = np.arange(M)
-    nodes = np.exp(2j * np.pi * (t + offset) / M)
+    nodes = np.exp(2j * np.pi * (np.arange(M) + offset) / M)
+    nodes.setflags(write=False)
+    if not offset:
+        return nodes, np.broadcast_to(np.complex128(1.0), (M,))
+    phase = np.exp(-2j * np.pi * np.fft.fftfreq(M, 1.0 / M).astype(int) * offset / M)
+    phase.setflags(write=False)
+    return nodes, phase
+
+
+@lru_cache(maxsize=8)
+def _modes(m: int) -> np.ndarray:
+    # mode of each FFT-order spectrum entry, read-only and shared by both
+    # offsets; built on its first read, since no transform needs it
+    M = 1 << m
     modes = np.fft.fftfreq(M, 1.0 / M).astype(int)
-    phase = np.exp(-2j * np.pi * modes * offset / M)
-    for arr in (nodes, modes, phase):
-        arr.setflags(write=False)
-    return nodes, modes, phase
+    modes.setflags(write=False)
+    return modes
 
 
 @lru_cache(maxsize=8)
@@ -63,8 +75,10 @@ class BoundaryGrid:
     """Uniform circle grid with 2**m nodes exp(2 pi i (t + offset) / M).
 
     Grids compare equal when m and offset agree, and equal grids share
-    one read-only set of node, mode and phase tables, so building a grid
-    a second time costs no table work.
+    one read-only set of node and phase tables, so building a grid a
+    second time costs no table work.  The plain grid's phase is a stride-0
+    view of 1, which keeps no table.  The mode table is built on its
+    first read and shared by both offsets of one m.
     """
 
     m: int
@@ -76,12 +90,16 @@ class BoundaryGrid:
         if self.offset not in (0.0, 0.5):
             raise ValueError("offset must be 0.0 or 0.5 (in node spacings)")
         tables = _grid_tables(self.m, self.offset)
-        for name, arr in zip(("nodes", "modes", "_phase"), tables):
+        for name, arr in zip(("nodes", "_phase"), tables):
             object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
         return 1 << self.m
+
+    @property
+    def modes(self) -> np.ndarray:
+        return _modes(self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,12 +342,14 @@ def _sub_arc_bound(
 
 def _rms_bound_row(p1: np.ndarray, p2: np.ndarray, length: int) -> np.ndarray:
     # bmo_norm's first bound on the arcs of one length at every offset: the
-    # RMS deviation from the prefix sums, plus its rounding slack
+    # RMS deviation from the prefix sums, plus its rounding slack.  Every arc
+    # of length M is the whole circle, so that row is its offset 0 alone
     M = (p2.size - 1) // 2
+    n = 1 if length == M else M
     inv = 1.0 / length
-    mu = np.subtract(p1[length : length + M], p1[:M])
+    mu = np.subtract(p1[length : length + n], p1[:n])
     mu *= inv
-    row = np.subtract(p2[length : length + M], p2[:M])
+    row = np.subtract(p2[length : length + n], p2[:n])
     row *= inv
     np.square(mu.view(float), out=mu.view(float))  # mu.real**2 and mu.imag**2, in place
     row -= mu.real + mu.imag
@@ -406,7 +426,6 @@ def bmo_norm(f: BoundaryFunction) -> float:
     np.cumsum(c.real**2 + c.imag**2, out=p2[1:])
     lengths = [M >> k for k in range(f.grid.m - 1)]  # M, M/2, ..., 4
     rows = {L: _rms_bound_row(p1, p2, L) for L in lengths if L >= 128 or L == M}
-    rows[M] = rows[M][:1]  # every arc of length M is the whole circle
     top = max(rows, key=lambda L: rows[L].max())
     best = _arc_oscillation_at(ext, top, rows[top].argmax(keepdims=True))
     round_up = 1.0 + 8 * np.finfo(float).eps

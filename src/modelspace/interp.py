@@ -229,12 +229,15 @@ def residue_identity_check(
     of size 2**m, evaluates g back inside the disk, and compares
     conj(g(z_k)) with the transform of the values.  Small discrepancies
     certify that the kernel-matrix transform and the boundary-integral
-    computation agree.
+    computation agree.  f and B are sampled in one factor pass per zero,
+    each bit for bit as its own sampler gives it.
     """
+    if len(zeros) != len(values):
+        raise ValueError("value/zero sequence lengths differ")
     grid = BoundaryGrid(m)
-    f = lagrange_interpolant(zeros, values).sample(grid)
-    theta = BlaschkeProduct(zeros).sample(grid)
-    g = tilde(theta, f)
+    rows = [values.values / blaschke.all_derivatives(BlaschkeProduct(zeros))]
+    f, theta = _lagrange_ladder(zeros.points, rows, grid.nodes, [len(zeros)])
+    g = tilde(BoundaryFunction(grid, theta), BoundaryFunction(grid, f))
     lhs = np.conj(cauchy_eval(g, zeros.points))
     rhs = conjugate_sequence(zeros, values).values
     gap = np.abs(lhs - rhs)

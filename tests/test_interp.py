@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modelspace.blaschke
 import modelspace.interp
 from conftest import kernel_combination, mp_rung_derivatives, random_zero_sequence, transient_peak
 from modelspace import (
@@ -25,6 +26,7 @@ from modelspace import (
     membership_defect,
     model_project,
     residue_identity_check,
+    tilde,
     trace,
 )
 from modelspace.blaschke import POINT_BLOCK, all_derivatives, sublevel_indicator
@@ -537,3 +539,29 @@ def test_residue_identity_examples(rng):
         w = ValueSequence(rng.normal(size=n) + 1j * rng.normal(size=n))
         report = residue_identity_check(zeros, w, m=12)
         assert report.scalars["max_discrepancy"] < 1e-7
+
+
+@pytest.mark.parametrize("q, m", [(0.7, 12), (0.5, 17)])
+def test_residue_identity_samples_f_and_b_in_one_pass(monkeypatch, q, m):
+    # one factor pass per zero and point block gives f and B together, each
+    # == to its public sampler, so the report is the two-sampler route's
+    zeros = generate_sequence("rotated_radial", q=q, n=12, angle_step=0.13)
+    w = ValueSequence(np.linspace(1.0, 2.0, 12) + 0.5j)
+    grid = BoundaryGrid(m)
+    f = lagrange_interpolant(zeros, w).sample(grid)
+    theta = BlaschkeProduct(zeros).sample(grid)
+    lhs = np.conj(cauchy_eval(tilde(theta, f), zeros.points))
+    gap = np.abs(lhs - conjugate_sequence(zeros, w).values)
+    calls = []
+    factor_parts = modelspace.blaschke._factor_parts
+
+    def counted(*args):
+        calls.append(args[0])
+        return factor_parts(*args)
+
+    monkeypatch.setattr(modelspace.blaschke, "_factor_parts", counted)
+    report = residue_identity_check(zeros, w, m=m)
+    assert calls == list(zeros.points) * max(1, grid.size // POINT_BLOCK)
+    assert report.series["discrepancy"] == gap.tolist()
+    with pytest.raises(ValueError, match="lengths differ"):
+        residue_identity_check(zeros, ValueSequence([1.0]), m=m)

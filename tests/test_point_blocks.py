@@ -12,6 +12,8 @@ held to FFT_RTOL instead.  The per-factor streaming forms, which divide by
 every factor, are the samplers' tolerance oracles (SAMPLER_RTOL).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from modelspace import (
     lagrange_interpolant,
     riesz_project,
 )
+from modelspace import boundary
 from modelspace.blaschke import (
     GROUP,
     POINT_BLOCK,
@@ -452,12 +455,16 @@ def test_from_spectrum_leaves_its_argument_unchanged(rng):
 
 
 def test_equal_grids_share_read_only_tables():
+    # nodes and phase are shared per (m, offset), modes per m by both offsets;
+    # the plain grid's phase is a stride-0 view of 1
     a, b, c = BoundaryGrid(17), BoundaryGrid(17), BoundaryGrid(17, 0.5)
     assert a == b and a != c
-    for name in ("nodes", "modes", "_phase"):
-        arr = getattr(a, name)
-        assert arr is getattr(b, name)
-        assert arr is not getattr(c, name)
+    for name in ("nodes", "_phase"):
+        assert getattr(a, name) is getattr(b, name)
+        assert getattr(a, name) is not getattr(c, name)
+    assert a.modes is b.modes is c.modes
+    assert a._phase.strides == (0,)
+    for arr in (a.nodes, a._phase, c.nodes, c._phase, a.modes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -468,3 +475,48 @@ def test_equal_grids_share_read_only_tables():
         assert np.array_equal(grid.nodes, np.exp(2j * np.pi * (t + grid.offset) / M))
         assert np.array_equal(grid.modes, modes)
         assert np.array_equal(grid._phase, np.exp(-2j * np.pi * modes * grid.offset / M))
+
+
+@pytest.mark.parametrize("m", [4, 12, 17])
+def test_plain_grid_phase_view_matches_the_materialised_table(m):
+    # every spectral route of a plain grid gives the bits of the same
+    # arithmetic with the full table exp(-2 pi i modes 0 / M), 1 + 0j at
+    # every mode, in place of the grid's stride-0 view
+    grid = BoundaryGrid(m)
+    M = grid.size
+    table = np.exp(-2j * np.pi * grid.modes * 0.0 / M)
+    f = BlaschkeProduct(_instance()[0]).sample(grid) * 0.5 + BoundaryFunction.from_callable(
+        grid, lambda z: np.conj(z) ** 3
+    )
+    spec = boundary._fft(f.samples)
+    spec /= M
+    spec *= table
+    pairs = [(f.spectrum, spec),
+             (BoundaryFunction.from_spectrum(grid, spec).samples,
+              boundary._fft(spec / table, inverse=True))]
+    for sign, half in (("+", slice(None, M // 2)), ("-", slice(M // 2, None))):
+        kept = np.zeros(M, dtype=complex)
+        np.divide(spec[half], table[half], out=kept[half])
+        pairs.append((riesz_project(f, sign).samples, boundary._fft(kept, inverse=True)))
+    for got, expected in pairs:
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_grid_tables_keep_no_uninformative_memory():
+    # an m = 17 grid pair keeps its two node tables and the half-offset phase
+    # (3 x 2 MiB, plus 64 KiB for the array and cache objects); reading the
+    # modes adds their one 1 MiB table, shared by both offsets.  A small grid
+    # is built first, so that numpy's lazily imported fft module is not counted
+    BoundaryGrid(4, 0.5).modes
+    boundary._grid_tables.cache_clear()
+    boundary._modes.cache_clear()
+    tracemalloc.start()
+    try:
+        grids = BoundaryGrid(17), BoundaryGrid(17, 0.5)
+        kept = tracemalloc.get_traced_memory()[0]
+        assert grids[0].modes is grids[1].modes
+        added = tracemalloc.get_traced_memory()[0] - kept
+    finally:
+        tracemalloc.stop()
+    assert kept <= 3 * (2 << 20) + (64 << 10)
+    assert added <= (1 << 20) + (64 << 10)
