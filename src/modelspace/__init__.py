@@ -14,17 +14,14 @@ from .blaschke import (
 from .boundary import (
     BoundaryFunction,
     BoundaryGrid,
-    backward_shift,
     bmo_norm,
     bmo_norm_exhaustive,
     h2_defect,
-    inner,
     lp_norm,
     membership_defect,
     model_project,
     riesz_project,
     tilde,
-    toeplitz_coanalytic,
 )
 from .classify import (
     DecayVerdict,

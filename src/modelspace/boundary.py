@@ -2,8 +2,8 @@
 
 Functions live on a power-of-two grid of circle nodes and carry their
 discrete Fourier spectrum, normalized so that coefficient 0 is the mean
-of the samples.  Mode-based operators (Riesz projections, shifts,
-multipliers) act on the spectrum; pointwise operators (products, the
+of the samples.  Mode-based operators (Riesz projections, multipliers)
+act on the spectrum; pointwise operators (products, the
 tilde involution) act on samples.  Grids may be offset by half a node
 spacing, which keeps sampled functions with a singularity at angle 0
 finite; the spectrum is phase-corrected so coefficients always mean the
@@ -171,11 +171,6 @@ class BoundaryFunction:
         return BoundaryFunction(self.grid, scalar * self.samples)
 
 
-def inner(f: BoundaryFunction, g: BoundaryFunction) -> complex:
-    """Discrete L2 inner product int f conj(g) dm."""
-    return complex(np.mean(f.samples * np.conj(g.samples)))
-
-
 def lp_norm(f: BoundaryFunction, p: float) -> float:
     """Discrete L^p norm (mean |f|^p)^(1/p); max of |f| for p = inf."""
     if not p >= 1:  # NaN fails this too
@@ -212,16 +207,6 @@ def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> None
     d = h2_defect(f)
     if not d <= tol:  # NaN fails this too
         raise ValueError(f"{what} is not in H2 at tolerance {tol:g} (defect {d:.3e})")
-
-
-def backward_shift(f: BoundaryFunction) -> BoundaryFunction:
-    """(f - f(0)) / z on the spectrum: mode n picks up coefficient n + 1."""
-    _require_h2(f, "backward shift input")
-    M = f.grid.size
-    spec = np.zeros(M, dtype=complex)
-    # modes 0 .. M/2 - 2 receive coefficients 1 .. M/2 - 1
-    spec[: M // 2 - 1] = f.spectrum[1 : M // 2]
-    return BoundaryFunction.from_spectrum(f.grid, spec)
 
 
 def _require_unimodular(theta: BoundaryFunction) -> None:
@@ -266,13 +251,6 @@ def membership_defect(
             raise ValueError("K2 membership needs theta")
         return float(np.maximum(h2_defect(f), h2_defect(tilde(theta, f))))  # keeps NaN
     raise ValueError(f"unknown space {space!r}")
-
-
-def toeplitz_coanalytic(psi: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
-    """Toeplitz operator with co-analytic symbol: P_+(conj(psi) f)."""
-    _require_h2(psi, "Toeplitz symbol")
-    _require_h2(f, "Toeplitz argument")
-    return riesz_project(psi.conj() * f, "+")
 
 
 # ---------------------------------------------------------------------------

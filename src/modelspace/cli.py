@@ -34,11 +34,8 @@ MEMBERSHIP_TOL = 1e-9
 def _load_zeros(args) -> ZeroSequence:
     if args.zeros is not None:
         return ZeroSequence.from_json(args.zeros)
-    if args.radial_q is not None:
-        return generate_sequence(
-            "rotated_radial", q=args.radial_q, n=args.n, angle_step=args.angle_step
-        )
-    raise ValueError("provide --zeros FILE or --radial-q Q with --n N")
+    return generate_sequence("rotated_radial", q=args.radial_q, n=args.n,
+                             angle_step=args.angle_step)
 
 
 # subcommand handlers, run(zeros, args) -> the JSON-ready output
@@ -117,10 +114,11 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     )
     parser.add_argument("--grid-log2", type=int, default=12, dest="grid_log2",
                         help="log2 of the boundary grid size (default 12)")
-    # options every subcommand takes: the zero source and the output path
+    # options every subcommand takes: the zero source (one of two) and the output path
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--zeros", help="ZeroSequence JSON file")
-    common.add_argument("--radial-q", type=float, dest="radial_q",
+    source = common.add_mutually_exclusive_group(required=True)
+    source.add_argument("--zeros", help="ZeroSequence JSON file")
+    source.add_argument("--radial-q", type=float, dest="radial_q",
                         help="generate a radial sequence 1 - q**k instead")
     common.add_argument("--n", type=int, default=8, help="generated sequence length")
     common.add_argument("--angle-step", type=float, dest="angle_step", default=0.0,

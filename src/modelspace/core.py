@@ -26,13 +26,26 @@ def pseudohyperbolic_distance(a: complex, b: complex) -> float:
     return abs(a - b) / abs(1.0 - a.conjugate() * b)
 
 
+def _to_pairs(values: np.ndarray) -> list:
+    return [[w.real, w.imag] for w in values.tolist()]
+
+
+def _from_pairs(data, key: str) -> np.ndarray:
+    # data[key] read back bit for bit (signed zeros too): each [re, im] row viewed as one complex
+    pairs = data.get(key) if isinstance(data, dict) else None
+    if not (isinstance(pairs, list) and all(isinstance(e, list) and len(e) == 2 for e in pairs)
+            and {type(x) for e in pairs for x in e} <= {int, float}):
+        raise ValueError(f"expected a JSON object whose {key!r} lists [re, im] pairs of reals")
+    return np.array(pairs, dtype=float).reshape(-1, 2).view(complex).reshape(-1)
+
+
 class _JsonFile:
     """JSON file round trip through the subclass's to_dict / from_dict."""
 
     @classmethod
     def from_json(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh, parse_int=float))  # ints as floats: none overflows
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -44,7 +57,6 @@ class ZeroSequence(_JsonFile):
     """Finite ordered sequence of pairwise distinct points in the disk."""
 
     points: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
@@ -57,8 +69,6 @@ class ZeroSequence(_JsonFile):
         ordered = np.sort(pts)  # equal points sit side by side (0.0 == -0.0 too)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("points must be pairwise distinct")
-        if self.labels is not None and len(self.labels) != pts.size:
-            raise ValueError("labels must match the number of points")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -88,21 +98,14 @@ class ZeroSequence(_JsonFile):
         """First n points, preserving order (nested truncations)."""
         if not 1 <= n <= len(self):
             raise ValueError(f"cannot truncate length {len(self)} to {n}")
-        labels = self.labels[:n] if self.labels is not None else None
-        return ZeroSequence(self.points[:n].copy(), labels)
+        return ZeroSequence(self.points[:n].copy())
 
     def to_dict(self) -> dict:
-        data = {"zeros": [[z.real, z.imag] for z in self.points]}
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
-        return data
+        return {"zeros": _to_pairs(self.points)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ZeroSequence":
-        pts = np.array([complex(re, im) for re, im in data["zeros"]])
-        labels = tuple(data["labels"]) if "labels" in data else None
-        return cls(pts, labels)
-
+        return cls(_from_pairs(data, "zeros"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +136,11 @@ class ValueSequence(_JsonFile):
         return float(np.sum(np.abs(self.values) ** p * (1.0 - zeros.moduli) ** gamma))
 
     def to_dict(self) -> dict:
-        return {"values": [[w.real, w.imag] for w in self.values]}
+        return {"values": _to_pairs(self.values)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValueSequence":
-        return cls(np.array([complex(re, im) for re, im in data["values"]]))
-
+        return cls(_from_pairs(data, "values"))
 
 
 _DESCRIPTOR_KINDS = ("lipschitz", "bmo", "gevrey", "sobolev")

@@ -18,7 +18,7 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeProduct, _at_points, _lagrange_ladder
 from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, _require_h2, tilde
-from .core import DiagnosticsReport, ValueSequence, ZeroSequence
+from .core import DiagnosticsReport, ValueSequence, ZeroSequence, _to_pairs
 
 
 # entries per power table in one chunk of cauchy_eval points (2 MB of complex)
@@ -182,8 +182,8 @@ class InterpolantRepresentation:
     def to_dict(self) -> dict:
         return {
             "form": self.form,
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-            "zeros": self.zeros.to_dict()["zeros"],
+            "coefficients": _to_pairs(self.coefficients),
+            "zeros": _to_pairs(self.zeros.points),
             "condition": self.condition,
         }
 

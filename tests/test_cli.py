@@ -182,6 +182,36 @@ def test_missing_zero_source():
         main(["diagnose"])
 
 
+def test_two_zero_sources_are_a_usage_error(files, capsys):
+    # --radial-q used to be ignored silently when --zeros was given too
+    _, zpath, _, _, _ = files
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--zeros", zpath, "--radial-q", "0.5"])
+    assert info.value.code == 2
+    assert "not allowed with argument --zeros" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, text", [
+    pytest.param("diagnose", "zeros", '{"zeros": [1, 2]}', id="zeros-not-pairs"),
+    pytest.param("diagnose", "zeros", '{"points": []}', id="zeros-key-missing"),
+    pytest.param("diagnose", "zeros", "[1, 2]", id="zeros-not-an-object"),
+    pytest.param("diagnose", "zeros", '{"zeros": [["a", 0]]}', id="zeros-not-reals"),
+    pytest.param("transform", "values", '{"values": [[1, 0], 2]}', id="values-not-pairs"),
+])
+def test_malformed_sequence_file_is_a_usage_error(files, tmp_path, capsys, command, key, text):
+    # each of these escaped as a TypeError or KeyError traceback with exit 1
+    _, zpath, _, _, _ = files
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    sources = {"zeros": ["--zeros", str(bad)], "values": ["--zeros", zpath, "--values", str(bad)]}
+    with pytest.raises(SystemExit) as info:
+        main([command, *sources[key]])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: modelspace {command}")
+    assert f"'{key}' lists [re, im] pairs" in err and "Traceback" not in err
+
+
 def test_stdout_output(files, capsys):
     _, zpath, wpath, _, _ = files
     assert main(["transform", "--zeros", zpath, "--values", wpath]) == 0

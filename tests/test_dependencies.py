@@ -148,3 +148,41 @@ def test_every_point_evaluator_checks_the_closed_disk():
         assert passed, sorted(pending)
         for name in passed:
             checked.add(pending.pop(name).name)
+
+
+def _readme_code_names():
+    # identifiers in the README's inline code spans, fenced blocks left out
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.DOTALL))
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def _benchmark_names():
+    # the ms.<name> attributes of perfbench/workloads.py and the attributes of
+    # the TARGETS table in perfbench/spans.py, both parsed, never imported
+    bench = ROOT / "perfbench"
+    workloads = ast.parse((bench / "workloads.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(workloads) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "ms"}
+    for node in ast.parse((bench / "spans.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and _node_names(node) == {"TARGETS"}:
+            names.update(target.elts[1].value for target in node.value.elts)
+    return names
+
+
+def test_every_exported_name_has_a_user():
+    # a name that modelspace/__init__.py imports is used in src/ outside its
+    # own definition, run by the benchmark, or named in the README: a public
+    # name that only its own tests reach is surface without a user
+    package = ROOT / "src" / "modelspace"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    tops = [node for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+            for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    documented = _benchmark_names() | _readme_code_names()
+    unused = sorted(
+        name for name in exported - documented
+        if not any(_mentions(node, name) for node in tops if name not in _node_names(node))
+    )
+    assert unused == []
