@@ -104,13 +104,13 @@ class BoundaryGrid:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryFunction:
-    """Complex samples on a BoundaryGrid with cached Fourier spectrum.
+    """Complex samples on a BoundaryGrid with a Fourier spectrum on demand.
 
-    spectrum[i] is the coefficient of mode grid.modes[i]; synthesis of the
-    cached spectrum reproduces the samples to machine precision.  The
-    spectrum is computed on its first read and kept, read-only, so
-    functions that only feed pointwise operations or norms never pay for
-    the forward FFT.
+    spectrum[i] is the coefficient of mode grid.modes[i]; its synthesis gives
+    the samples to machine precision.  .spectrum and coefficient() compute it
+    on first read and cache it, read-only.  H2 checks and single-use readers
+    (h2_defect, membership_defect, riesz_project, cauchy_eval) take the cached
+    one if any, else a fresh one they drop.  Pointwise work pays no FFT.
     """
 
     grid: BoundaryGrid
@@ -123,13 +123,16 @@ class BoundaryFunction:
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        spec = _fft(self.samples)
-        spec /= self.grid.size
-        spec *= self.grid._phase
-        spec.setflags(write=False)
+    def _read_spectrum(self) -> np.ndarray:  # the cached spectrum, else a fresh one
+        spec = vars(self).get("spectrum")
+        if spec is None:
+            spec = _fft(self.samples)
+            spec /= self.grid.size
+            spec *= self.grid._phase
+            spec.setflags(write=False)
         return spec
+
+    spectrum = cached_property(_read_spectrum)
 
     @classmethod
     def from_callable(cls, grid: BoundaryGrid, fn) -> "BoundaryFunction":
@@ -190,23 +193,30 @@ def riesz_project(f: BoundaryFunction, sign: str) -> BoundaryFunction:
         raise ValueError("sign must be '+' or '-'")
     half = slice(None, f.grid.size // 2) if sign == "+" else slice(f.grid.size // 2, None)
     spec = np.zeros(f.grid.size, dtype=complex)
-    np.divide(f.spectrum[half], f.grid._phase[half], out=spec[half])  # from_spectrum's step
+    np.divide(f._read_spectrum()[half], f.grid._phase[half], out=spec[half])  # from_spectrum's step
     return BoundaryFunction(f.grid, _fft(spec, inverse=True))
+
+
+def _spectrum_defect(spec: np.ndarray) -> float:  # h2_defect of an FFT-order spectrum
+    power = np.abs(spec)
+    np.square(power, out=power)
+    total = float(np.sum(power))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(power[spec.size // 2 :])) / total  # modes -M/2 .. -1
 
 
 def h2_defect(f: BoundaryFunction) -> float:
     """Fraction of spectral energy sitting in negative modes."""
-    power = np.abs(f.spectrum) ** 2
-    total = float(np.sum(power))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(power[f.grid.size // 2 :])) / total  # modes -M/2 .. -1
+    return _spectrum_defect(f._read_spectrum())
 
 
-def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> None:
-    d = h2_defect(f)
+def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> np.ndarray:
+    spec = f._read_spectrum()
+    d = _spectrum_defect(spec)
     if not d <= tol:  # NaN fails this too
         raise ValueError(f"{what} is not in H2 at tolerance {tol:g} (defect {d:.3e})")
+    return spec  # the spectrum it checked, for the caller's series
 
 
 def _require_unimodular(theta: BoundaryFunction) -> None:
@@ -336,11 +346,13 @@ def _rms_bound_row(p1: np.ndarray, p2: np.ndarray, length: int) -> np.ndarray:
     return np.sqrt(row, out=row)
 
 
-def _scan_length(ext, p1, p2, length: int, row: np.ndarray, best: float) -> float:
+def _scan_length(ext, p1, p2, length: int, row: np.ndarray, best: float, seen: int) -> float:
     # the running maximum after the arcs of one length: those above both
     # bounds are evaluated exactly, largest sub-arc bound first, in chunks of
-    # 8, 16, 32, ... offsets, until the next bound is at or below the maximum
+    # 8, 16, 32, ... offsets, until the next bound is at or below the maximum;
+    # the arc at offset seen is in best already
     offsets = np.flatnonzero(row > best)
+    offsets = offsets[offsets != seen]
     if not offsets.size:
         return best
     bound = _sub_arc_bound(p1, p2, length, offsets)
@@ -370,10 +382,11 @@ def bmo_norm(f: BoundaryFunction) -> float:
     over the doubled array / L + mean |c|^2) on each variance keeps the
     bound above the deviation under cancellation.  The RMS rows of the
     lengths L >= 128, and of L = M at offset 0 alone (the whole circle),
-    are built first, and the running maximum starts at the exact
-    deviation of the arc with the largest of their bounds.  The lengths are then taken from the longest
-    down.  A shorter row is built only if the enclosing-arc bound allows
-    an arc above the running maximum: with L2 >= 2L the nearest built
+    are built first, and the running maximum starts at the exact deviation
+    of the arc with the largest of their bounds, which its length's scan
+    leaves out.  The lengths are then taken from the longest down.  A
+    shorter row is built only if the enclosing-arc bound allows an arc
+    above the running maximum: with L2 >= 2L the nearest built
     length, every arc of length L starting in [jL, (j+1)L) lies inside the
     dyadic arc of length L2 at jL, and the mean minimises the mean square,
     so its RMS deviation is at most sqrt(L2/L) times that arc's, and the
@@ -405,7 +418,8 @@ def bmo_norm(f: BoundaryFunction) -> float:
     lengths = [M >> k for k in range(f.grid.m - 1)]  # M, M/2, ..., 4
     rows = {L: _rms_bound_row(p1, p2, L) for L in lengths if L >= 128 or L == M}
     top = max(rows, key=lambda L: rows[L].max())
-    best = _arc_oscillation_at(ext, top, rows[top].argmax(keepdims=True))
+    seen = {top: rows[top].argmax()}  # offset of the arc that seeds the running maximum
+    best = _arc_oscillation_at(ext, top, np.array([seen[top]]))
     round_up = 1.0 + 8 * np.finfo(float).eps
     for length in lengths:
         if length not in rows:
@@ -413,7 +427,7 @@ def bmo_norm(f: BoundaryFunction) -> float:
             if rows[outer][::length].max() * math.sqrt(outer / length) * round_up <= best:
                 continue
             rows[length] = _rms_bound_row(p1, p2, length)
-        best = _scan_length(ext, p1, p2, length, rows[length], best)
+        best = _scan_length(ext, p1, p2, length, rows[length], best, seen.get(length, -1))
     return abs(mean) + best
 
 

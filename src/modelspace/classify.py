@@ -285,6 +285,7 @@ def projection_decay_report(
     finite product both numbers are finite; trend studies over nested
     truncations compare their growth.
     """
+    f.spectrum  # cached: the check here and trace's cauchy_eval both read it
     _require_h2(f, "projection_decay_report input")
     theta = product.sample(f.grid)
     coanalytic = riesz_project(theta.conj() * f, "-")

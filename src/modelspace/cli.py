@@ -32,10 +32,15 @@ MEMBERSHIP_TOL = 1e-9
 
 
 def _load_zeros(args) -> ZeroSequence:
-    if args.zeros is not None:
-        return ZeroSequence.from_json(args.zeros)
-    return generate_sequence("rotated_radial", q=args.radial_q, n=args.n,
-                             angle_step=args.angle_step)
+    # --n and --angle-step (None where not given) shape a generated sequence alone
+    if args.zeros is None:
+        n = 8 if args.n is None else args.n
+        step = 0.0 if args.angle_step is None else args.angle_step
+        return generate_sequence("rotated_radial", q=args.radial_q, n=n, angle_step=step)
+    for flag, value in (("--n", args.n), ("--angle-step", args.angle_step)):
+        if value is not None:
+            raise ValueError(f"argument {flag}: not allowed with argument --zeros")
+    return ZeroSequence.from_json(args.zeros)
 
 
 # subcommand handlers, run(zeros, args) -> the JSON-ready output
@@ -120,9 +125,9 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     source.add_argument("--zeros", help="ZeroSequence JSON file")
     source.add_argument("--radial-q", type=float, dest="radial_q",
                         help="generate a radial sequence 1 - q**k instead")
-    common.add_argument("--n", type=int, default=8, help="generated sequence length")
-    common.add_argument("--angle-step", type=float, dest="angle_step", default=0.0,
-                        help="rotation per index for generated sequences")
+    common.add_argument("--n", type=int, help="generated sequence length (default 8)")
+    common.add_argument("--angle-step", type=float, dest="angle_step",
+                        help="rotation per index for generated sequences (default 0)")
     common.add_argument("--out", help="output JSON path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -79,10 +79,10 @@ def log_samples(grid: BoundaryGrid) -> BoundaryFunction:
     """Principal-branch log(1 - z) sampled on the grid.
 
     Needs an offset grid so that no node hits the singularity at angle 0.
-    The returned function is the analytic part of the raw samples; the
-    small negative-mode residue of sampling a log singularity is dropped
-    here (exp_nonduality reports it as log_sampling_defect).  It is built
-    once per grid exponent and shared, read-only: equal grids get one object.
+    The result is the analytic part of the raw samples (exp_nonduality
+    reports the dropped negative-mode residue as log_sampling_defect).  It
+    is built once per grid exponent and shared, read-only, with its spectrum
+    cached, so model_project and cauchy_eval of it make no transform of it.
     """
     if grid.offset == 0.0:
         raise ValueError("log(1 - z) needs the half-offset grid (node at angle 0)")
@@ -95,7 +95,10 @@ def _log_parts(m: int):
     # of exponent m, and phi = P_+ log(1 - z)
     grid = BoundaryGrid(m, offset=0.5)
     raw = BoundaryFunction(grid, np.log(1.0 - grid.nodes))
-    return h2_defect(raw), riesz_project(raw, "+")
+    raw.spectrum  # cached: both reads below take it
+    phi = riesz_project(raw, "+")
+    phi.spectrum  # cached on the shared phi, whose readers then make no transform
+    return h2_defect(raw), phi
 
 
 def _truncation_ladder(n: int) -> list[int]:

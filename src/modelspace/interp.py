@@ -55,9 +55,9 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     rounding, or NaN, as for every evaluator), where the truncated series is
     meaningless and its powers overflow.
     """
-    _require_h2(f, "cauchy_eval input", tol)
+    spec = _require_h2(f, "cauchy_eval input", tol)  # kept by f only if f had cached it
     K = 1 << ((f.grid.m - 1) // 2)
-    blocks = f.spectrum[: f.grid.size // 2].reshape(-1, K).T  # [b, a] = c[a K + b]
+    blocks = spec[: f.grid.size // 2].reshape(-1, K).T  # [b, a] = c[a K + b]
     G = blocks.shape[1]  # G >= K
     step = max(1, _TABLE_ENTRIES // G)
 
@@ -78,10 +78,10 @@ def _polar_lattice_eval(f: BoundaryFunction, radii: np.ndarray, angles: int, tol
     # rows [i, k].  With n = b angles + a, row i is the unscaled inverse FFT
     # over a of r**a sum_b c[b angles + a] (r**angles)**b: one product with the
     # spectrum zero-padded to whole folds of `angles` modes, one FFT per circle
-    _require_h2(f, "cauchy_eval input", tol)
+    spec = _require_h2(f, "cauchy_eval input", tol)
     half = f.grid.size // 2
     folded = np.zeros(-(-half // angles) * angles, dtype=complex)
-    folded[:half] = f.spectrum[:half]
+    folded[:half] = spec[:half]
     folded = folded.reshape(-1, angles)
     r = radii[:, None]
     baby = _powers(r, angles)  # r**a

@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from modelspace import (
     tilde,
 )
 from modelspace import boundary
-from modelspace.boundary import _arc_oscillation_at
+from modelspace.boundary import DEFECT_TOL, _arc_oscillation_at
+from modelspace.interp import _polar_lattice_eval
 
 
 def _grid(m=8, offset=0.0):
@@ -622,8 +624,8 @@ def test_bmo_evaluates_the_whole_circle_once(monkeypatch, m):
     # f = z: every offset's bounds exceed the whole-circle maximum by their
     # slack, and the scan took all M arcs of length M (4,097 at m = 12 with
     # the seed); each is the whole circle, so only offset 0 is evaluated, by
-    # the seed and by the scan of length M.  The value is that of another
-    # offset up to rounding
+    # the seed alone: the scan of length M leaves the seed's arc out.  The
+    # value is that of another offset up to rounding
     lengths = []
     exact = boundary._arc_oscillation_at
 
@@ -634,7 +636,7 @@ def test_bmo_evaluates_the_whole_circle_once(monkeypatch, m):
     f = BoundaryFunction.from_callable(BoundaryGrid(m), lambda z: z)
     monkeypatch.setattr(boundary, "_arc_oscillation_at", counting)
     value = bmo_norm(f)
-    assert lengths == [1 << m] * 2
+    assert lengths == [1 << m]
     expected = abs(complex(np.mean(f.samples))) + _all_offsets(f.samples, 1 << m)
     assert abs(value - expected) <= 1e-15 * expected
 
@@ -838,6 +840,87 @@ def test_every_h2_site_shares_one_guard(site):
         calls[site]()
 
 
+def _single_use_readers(f, theta):
+    # name -> (call, transforms it makes once f's spectrum is cached)
+    return {
+        "h2_defect": (lambda: h2_defect(f), 0),
+        "membership_defect": (lambda: membership_defect(f, "K2", theta), 1),
+        "cauchy_eval": (lambda: cauchy_eval(f, [0.0, 0.5j, -0.9]), 0),
+        "polar_lattice": (lambda: _polar_lattice_eval(f, np.array([0.5, 0.9]), 16, DEFECT_TOL), 0),
+        "riesz_project": (lambda: riesz_project(f, "-"), 1),
+        "model_project": (lambda: model_project(theta, f), 2),
+    }
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_checks_and_single_use_readers_keep_no_spectrum(offset, rng):
+    # .spectrum and coefficient() cache the spectrum on the function; H2
+    # checks and single-use readers compute a fresh one and drop it
+    grid = _grid(10, offset)
+    theta = BlaschkeProduct(ZeroSequence([0.5, -0.3j])).sample(grid)
+    f = _random_h2(rng, grid)
+    for name, (read, _) in _single_use_readers(f, theta).items():
+        read()
+        assert "spectrum" not in vars(f) and "spectrum" not in vars(theta), name
+    f.coefficient(1)
+    assert "spectrum" in vars(f)
+
+
+def _bits(value):
+    if isinstance(value, BoundaryFunction):
+        value = value.samples
+    return np.asarray(value).tobytes()
+
+
+def test_single_use_readers_reuse_a_cached_spectrum(monkeypatch, rng):
+    # a spectrum cached before the call is read, not recomputed, and gives
+    # the bits of the fresh one
+    grid = _grid(10, 0.5)
+    theta = BlaschkeProduct(ZeroSequence([0.5, -0.3j])).sample(grid)
+    f = _random_h2(rng, grid)
+    readers = _single_use_readers(f, theta)
+    fresh = {name: _bits(read()) for name, (read, _) in readers.items()}
+    spec = f.spectrum
+    transforms = []
+    fft = boundary._fft
+    monkeypatch.setattr(
+        boundary, "_fft", lambda x, inverse=False: transforms.append(x) or fft(x, inverse)
+    )
+    for name, (read, count) in readers.items():
+        transforms.clear()
+        assert _bits(read()) == fresh[name], name
+        assert len(transforms) == count, name
+        assert not any(np.shares_memory(x, f.samples) for x in transforms), name
+    assert f.spectrum is spec
+
+
+def test_k2_check_keeps_no_spectrum_memory():
+    # m = 17, f and theta held by the caller: the check's transient peak is
+    # three sample-sized arrays (tilde's temporaries, or its result with the
+    # transform's halves and output), and it leaves nothing behind
+    zeros = ZeroSequence([0.5, -0.3j, 0.2 + 0.6j])
+    grid = BoundaryGrid(17)
+    theta = BlaschkeProduct(zeros).sample(grid)
+    f = InterpolantRepresentation(zeros, np.ones(3), "kernel_basis").sample(grid)
+    # a first check on an equal copy builds the shared tables and numpy's caches
+    membership_defect(BoundaryFunction(grid, f.samples.copy()), "K2", theta)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        within = membership_defect(f, "K2", theta) <= 1e-12  # keeps no float
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert within
+    assert peak - base <= 3 * (2 << 20) + (64 << 10)
+    assert now - base == 0
+    assert "spectrum" not in vars(f) and "spectrum" not in vars(theta)
+
+
 def test_mismatched_grids_rejected():
     f = BoundaryFunction(BoundaryGrid(6), np.full(1 << 6, 1.0))
     g = BoundaryFunction(BoundaryGrid(7), np.full(1 << 7, 1.0))
@@ -850,7 +933,9 @@ def test_mismatched_grids_rejected():
 
 @pytest.mark.parametrize("m, offset", [(8, 0.0), (12, 0.5), (17, 0.5)])
 def test_h2_defect_bit_identical_to_two_pass_form(m, offset, rng):
-    # one |spectrum|**2 array for both sums gives exactly the masked two-pass value
+    # one |spectrum|**2 array for both sums gives exactly the masked two-pass
+    # value and that of np.abs(spectrum) ** 2; squared in place, it is the one
+    # M-float buffer the check allocates once the spectrum is cached
     grid = _grid(m, offset)
     cases = [
         _random_h2(rng, grid) + 1e-4 * _random_h2(rng, grid).conj(),
@@ -858,7 +943,9 @@ def test_h2_defect_bit_identical_to_two_pass_form(m, offset, rng):
         log_samples(grid) if offset else BoundaryFunction(grid, np.conj(grid.nodes)),
     ]
     for f in cases:
-        total = float(np.sum(np.abs(f.spectrum) ** 2))
+        power = np.abs(f.spectrum) ** 2
+        total = float(np.sum(power))
         expected = float(np.sum(np.abs(f.spectrum[f.grid.modes < 0]) ** 2)) / total
-        assert h2_defect(f) == expected
+        assert h2_defect(f) == expected == float(np.sum(power[grid.size // 2 :])) / total
+        assert transient_peak(lambda: h2_defect(f)) <= 8 * grid.size + (64 << 10)
     assert h2_defect(BoundaryFunction(grid, np.full(grid.size, 0.0))) == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_zero_sequence
+from modelspace import boundary
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -233,6 +234,29 @@ def test_projection_decay_report_annihilation(rng):
     report = projection_decay_report(product, theta * h, SmoothnessDescriptor("bmo"))
     assert report.scalars["smoothness"] < 1e-9
     assert report.scalars["trace_ratio_max"] < 1e-9
+
+
+@pytest.mark.parametrize("kind, params, count", [
+    ("bmo", {}, 3),
+    ("lipschitz", {"alpha": 0.5}, 3),
+    ("gevrey", {"alpha": 0.5}, 25),
+    ("sobolev", {"p": 2.0, "s": 1.0}, 5),
+])
+def test_projection_decay_report_transform_count(monkeypatch, rng, kind, params, count):
+    # f's spectrum once for the H2 check and the trace, the co-analytic part's
+    # forward and inverse transforms, then the measure's own (gevrey: 1 + 21
+    # derivatives; sobolev: 1 + 1)
+    grid = BoundaryGrid(10)
+    product = BlaschkeProduct(ZeroSequence([0.5, -0.4j, 0.3 + 0.2j]))
+    noise = BoundaryFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
+    f = BoundaryFunction.from_spectrum(grid, np.where(grid.modes >= 0, noise.spectrum, 0.0))
+    calls = []
+    fft = boundary._fft
+    monkeypatch.setattr(
+        boundary, "_fft", lambda x, inverse=False: calls.append(inverse) or fft(x, inverse)
+    )
+    projection_decay_report(product, f, SmoothnessDescriptor(kind, **params))
+    assert len(calls) == count
 
 
 def test_projection_decay_report_single_zero():

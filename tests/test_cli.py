@@ -21,7 +21,7 @@ from modelspace import (
     exp_sublevel,
     generate_sequence,
 )
-from modelspace import experiments
+from modelspace import blaschke, experiments
 from modelspace.cli import main
 
 
@@ -189,6 +189,26 @@ def test_two_zero_sources_are_a_usage_error(files, capsys):
         main(["diagnose", "--zeros", zpath, "--radial-q", "0.5"])
     assert info.value.code == 2
     assert "not allowed with argument --zeros" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "5"), ("--angle-step", "0.3")])
+def test_generated_sequence_options_refuse_a_zeros_file(files, capsys, flag, value):
+    # --n and --angle-step shape a generated sequence; with --zeros they used
+    # to be accepted and ignored
+    _, zpath, _, _, _ = files
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--zeros", zpath, flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}: not allowed with argument --zeros" in capsys.readouterr().err
+
+
+def test_generated_sequence_defaults(tmp_path):
+    # without --n and --angle-step a generated sequence has 8 radial zeros
+    out = tmp_path / "diag.json"
+    assert main(["diagnose", "--radial-q", "0.5", "--out", str(out)]) == 0
+    zeros = generate_sequence("rotated_radial", q=0.5, n=8, angle_step=0.0)
+    expect = json.loads(json.dumps(blaschke.diagnose(zeros, grid_size=1 << 12).to_dict()))
+    assert json.loads(out.read_text()) == expect
 
 
 @pytest.mark.parametrize("command, key, text", [

@@ -561,6 +561,24 @@ def test_log_samples_requires_offset():
         log_samples(BoundaryGrid(10))
 
 
+def test_log_samples_readers_make_no_transform_of_it(monkeypatch):
+    # the shared phi caches its spectrum when it is built, so projecting it
+    # and evaluating it transform only conj(theta) phi (forward, then inverse)
+    grid = BoundaryGrid(11, offset=0.5)
+    phi = log_samples(grid)
+    theta = BlaschkeProduct(ZeroSequence([0.5, -0.3j])).sample(grid)
+    transforms = []
+    fft = boundary._fft
+    monkeypatch.setattr(
+        boundary, "_fft", lambda x, inverse=False: transforms.append(x) or fft(x, inverse)
+    )
+    model_project(theta, log_samples(grid))
+    cauchy_eval(log_samples(grid), [0.0, 0.5j])
+    assert len(transforms) == 2
+    assert not any(np.shares_memory(x, phi.samples) for x in transforms)
+    assert "spectrum" in vars(phi)
+
+
 def test_log_samples_shared_read_only():
     grid = BoundaryGrid(11, offset=0.5)
     phi = log_samples(grid)
