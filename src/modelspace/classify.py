@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .boundary import BoundaryFunction, _require_h2, bmo_norm, lp_norm, riesz_project
+from .boundary import BoundaryFunction, bmo_norm, lp_norm, riesz_project
 from .core import DiagnosticsReport, SmoothnessDescriptor, ValueSequence, ZeroSequence
 from .interp import conjugate_sequence, trace
 
@@ -138,10 +138,10 @@ def _decide_lower_bounded(ratios_ordered: np.ndarray, window_start: int) -> tupl
     return "inconclusive", rule
 
 
-def _class_ratios(
-    gaps: np.ndarray, transformed: np.ndarray, x: SmoothnessDescriptor
-) -> np.ndarray:
-    mags = np.abs(transformed)
+def _class_ratios(zeros: ZeroSequence, w: np.ndarray, x: SmoothnessDescriptor) -> np.ndarray:
+    # the class-x ratios of the values w at the zeros, in _boundary_order
+    order, gaps = _boundary_order(zeros)
+    mags = np.abs(w[order])
     if x.kind == "lipschitz":
         return mags / gaps ** x.alpha
     if x.kind == "bmo":
@@ -152,6 +152,25 @@ def _class_ratios(
     # sobolev: partial sums of the weighted series, in boundary order
     terms = mags ** x.p * gaps ** (1.0 - x.s * x.p)
     return np.cumsum(terms)
+
+
+def _finite_max(ratios: np.ndarray) -> float:
+    finite = ratios[np.isfinite(ratios)]
+    return float(finite.max()) if finite.size else math.inf
+
+
+def _verdict(descriptor, zeros: ZeroSequence, ratios: np.ndarray, lower: bool,
+             data_functional: float | None) -> DecayVerdict:
+    # the rule on the boundary-most half of ratios in _boundary_order: lower
+    # (Gevrey) fits the window minimum, every other test the finite maximum
+    window_start = len(zeros) // 2
+    if lower:
+        verdict, rule = _decide_lower_bounded(ratios, window_start)
+        fitted = float(np.min(ratios[window_start:]))
+    else:
+        verdict, rule = _decide_bounded(ratios, window_start)
+        fitted = _finite_max(ratios)
+    return DecayVerdict(descriptor, verdict, fitted, ratios, window_start, rule, data_functional)
 
 
 def classify_trace(
@@ -166,26 +185,8 @@ def classify_trace(
     scale.  The verdict applies the documented decision rule on the
     boundary-most half of the indices.
     """
-    transformed = conjugate_sequence(zeros, values).values
-    order, gaps = _boundary_order(zeros)
-    ratios = _class_ratios(gaps, transformed[order], x)
-    window_start = len(zeros) // 2
-    if x.kind == "gevrey":
-        verdict, rule = _decide_lower_bounded(ratios, window_start)
-        fitted = float(np.min(ratios[window_start:]))
-    else:
-        verdict, rule = _decide_bounded(ratios, window_start)
-        finite = ratios[np.isfinite(ratios)]
-        fitted = float(finite.max()) if finite.size else math.inf
-    return DecayVerdict(
-        descriptor=x,
-        verdict=verdict,
-        fitted_constant=fitted,
-        per_index_ratios=ratios,
-        window_start=window_start,
-        rule=rule,
-        data_functional=values.ell_p_gamma(zeros, 2.0, 1.0),
-    )
+    ratios = _class_ratios(zeros, conjugate_sequence(zeros, values).values, x)
+    return _verdict(x, zeros, ratios, x.kind == "gevrey", values.ell_p_gamma(zeros, 2.0, 1.0))
 
 
 def log_growth_check(zeros: ZeroSequence, values: ValueSequence) -> DecayVerdict:
@@ -194,17 +195,7 @@ def log_growth_check(zeros: ZeroSequence, values: ValueSequence) -> DecayVerdict
         raise ValueError("value/zero sequence lengths differ")
     order, gaps = _boundary_order(zeros)
     ratios = np.abs(values.values[order]) / np.log(2.0 / gaps)
-    window_start = len(zeros) // 2
-    verdict, rule = _decide_bounded(ratios, window_start)
-    fitted = float(ratios.max())
-    return DecayVerdict(
-        descriptor="log_growth",
-        verdict=verdict,
-        fitted_constant=fitted,
-        per_index_ratios=ratios,
-        window_start=window_start,
-        rule=rule,
-    )
+    return _verdict("log_growth", zeros, ratios, False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +217,11 @@ def _difference_seminorm(f: BoundaryFunction, alpha: float) -> float:
     return best
 
 
-def _spectral_derivative_sup(f: BoundaryFunction, k: int) -> float:
-    mult = (1j * f.grid.modes) ** k
-    g = BoundaryFunction.from_spectrum(f.grid, f.spectrum * mult)
-    return lp_norm(g, math.inf)
+def _multiplier_norm(f: BoundaryFunction, t: float, p: float) -> float:
+    # L^p norm of f under the spectral multiplier (i n)**t, numpy's principal
+    # branch: the t-th derivative for integer t, a fractional one otherwise
+    g = BoundaryFunction.from_spectrum(f.grid, f.spectrum * (1j * f.grid.modes) ** t)
+    return lp_norm(g, p)
 
 
 def _gevrey_constant(f: BoundaryFunction, alpha: float) -> float:
@@ -237,24 +229,12 @@ def _gevrey_constant(f: BoundaryFunction, alpha: float) -> float:
     # estimated in log space to dodge overflow; derivative order capped
     best = math.inf
     for k in range(GEVREY_MAX_ORDER + 1):
-        sup = _spectral_derivative_sup(f, k)
+        sup = _multiplier_norm(f, k, math.inf)
         if sup == 0.0:
             return 0.0
         log_q = (math.log(sup) - (1.0 + 1.0 / alpha) * math.lgamma(k + 1)) / (k + 1)
         best = min(best, math.exp(log_q))
     return best
-
-
-def _sobolev_norm(f: BoundaryFunction, p: float, s: float) -> float:
-    modes = f.grid.modes
-    mult = np.zeros(f.grid.size, dtype=complex)
-    nz = modes != 0
-    # principal branch of (i n)**s; modulus |n|**s
-    mult[nz] = np.exp(
-        s * (np.log(np.abs(modes[nz])) + 1j * (math.pi / 2.0) * np.sign(modes[nz]))
-    )
-    g = BoundaryFunction.from_spectrum(f.grid, f.spectrum * mult)
-    return lp_norm(g, p)
 
 
 def measure_smoothness(f: BoundaryFunction, x: SmoothnessDescriptor) -> float:
@@ -271,7 +251,7 @@ def measure_smoothness(f: BoundaryFunction, x: SmoothnessDescriptor) -> float:
         return bmo_norm(f)
     if x.kind == "gevrey":
         return _gevrey_constant(f, x.alpha)
-    return _sobolev_norm(f, x.p, x.s)
+    return _multiplier_norm(f, x.s, x.p)
 
 
 def projection_decay_report(
@@ -283,29 +263,21 @@ def projection_decay_report(
     conj(B) f (mirrored to an analytic representative); the other lists
     the per-class decay ratios of the trace of f along the zeros.  For a
     finite product both numbers are finite; trend studies over nested
-    truncations compare their growth.
+    truncations compare their growth.  f must lie in H2: the trace's
+    cauchy_eval checks it first.  f is left with no cached spectrum.
     """
-    f.spectrum  # cached: the check here and trace's cauchy_eval both read it
-    _require_h2(f, "projection_decay_report input")
+    values = trace(f, product.zeros)
     theta = product.sample(f.grid)
     coanalytic = riesz_project(theta.conj() * f, "-")
     # conj moves mode n to -n and keeps every modulus
     smooth = measure_smoothness(coanalytic.conj(), x)
-
-    zeros = product.zeros
-    values = trace(f, zeros)
-    order, gaps = _boundary_order(zeros)
-    ratios = _class_ratios(gaps, values.values[order], x)
+    ratios = _class_ratios(product.zeros, values.values, x)
     notes = []
     if x.kind == "gevrey":
         notes.append("gevrey constant estimated with derivative order capped at 20")
-    finite = ratios[np.isfinite(ratios)]
     return DiagnosticsReport(
         name="projection_decay",
-        scalars={
-            "smoothness": smooth,
-            "trace_ratio_max": float(finite.max()) if finite.size else math.inf,
-        },
+        scalars={"smoothness": smooth, "trace_ratio_max": _finite_max(ratios)},
         series={"trace_ratios": ratios.tolist()},
         notes=notes,
     )

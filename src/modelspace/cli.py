@@ -149,7 +149,7 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
 
     p = command("classify", _classify, "trace smoothness classification")
     p.add_argument("--values", required=True, help="ValueSequence JSON file")
-    p.add_argument("--class", required=True, dest="klass", choices=core._DESCRIPTOR_KINDS)
+    p.add_argument("--class", required=True, dest="klass", choices=list(core._CLASS_PARAMETERS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--s", type=float)

@@ -143,7 +143,11 @@ class ValueSequence(_JsonFile):
         return cls(_from_pairs(data, "values"))
 
 
-_DESCRIPTOR_KINDS = ("lipschitz", "bmo", "gevrey", "sobolev")
+# smoothness kind -> the parameters it takes, each in its open range (floor, inf)
+_CLASS_PARAMETERS = {
+    "lipschitz": ("alpha",), "bmo": (), "gevrey": ("alpha",), "sobolev": ("p", "s"),
+}
+_PARAMETER_FLOORS = {"alpha": 0.0, "p": 1.0, "s": 0.0}
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,10 @@ class SmoothnessDescriptor:
 
     kind        parameters
     ----        ----------
-    lipschitz   finite alpha > 0
+    lipschitz   alpha in (0, inf)
     bmo         none
-    gevrey      finite alpha > 0
-    sobolev     p in (1, inf), finite s > 0
+    gevrey      alpha in (0, inf)
+    sobolev     p in (1, inf), s in (0, inf)
     """
 
     kind: str
@@ -164,31 +168,18 @@ class SmoothnessDescriptor:
     s: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _DESCRIPTOR_KINDS:
+        if self.kind not in _CLASS_PARAMETERS:
             raise ValueError(f"unknown smoothness kind {self.kind!r}")
-        if self.kind in ("lipschitz", "gevrey"):
-            if self.alpha is None or not 0.0 < self.alpha < math.inf:
-                raise ValueError(f"{self.kind} requires finite alpha > 0")
-            if self.p is not None or self.s is not None:
-                raise ValueError(f"{self.kind} takes no (p, s) parameters")
-        elif self.kind == "bmo":
-            if any(v is not None for v in (self.alpha, self.p, self.s)):
-                raise ValueError("bmo takes no parameters")
-        else:  # sobolev
-            if self.alpha is not None:
-                raise ValueError("sobolev takes no alpha")
-            if self.p is None or not 1.0 < self.p < math.inf:
-                raise ValueError("sobolev requires p in (1, inf)")
-            if self.s is None or not 0.0 < self.s < math.inf:
-                raise ValueError("sobolev requires finite s > 0")
+        for name, floor in _PARAMETER_FLOORS.items():
+            v = getattr(self, name)
+            if name not in _CLASS_PARAMETERS[self.kind]:
+                if v is not None:
+                    raise ValueError(f"{self.kind} takes no {name}")
+            elif v is None or not floor < v < math.inf:
+                raise ValueError(f"{self.kind} requires {name} in ({floor:g}, inf)")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("alpha", "p", "s"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return {"kind": self.kind, **{n: getattr(self, n) for n in _CLASS_PARAMETERS[self.kind]}}
 
 
 @dataclass
@@ -217,13 +208,6 @@ def _jsonify(v):
     return v
 
 
-def _sorted_points(pts: np.ndarray) -> np.ndarray:
-    # deterministic order: increasing modulus, then argument in [0, 2pi)
-    ang = np.mod(np.angle(pts), 2.0 * np.pi)
-    order = np.lexsort((ang, np.abs(pts)))
-    return pts[order]
-
-
 def generate_sequence(kind: str, **params) -> ZeroSequence:
     """Build a ZeroSequence by one of the named recipes.
 
@@ -232,15 +216,28 @@ def generate_sequence(kind: str, **params) -> ZeroSequence:
     kind = "separated":      greedy sequence with |z_j - z_k| >=
                              c (1 - |z_j|)**s for all j != k, s in (0, 1/2).
 
-    Points given directly are ZeroSequence(points).
+    n is an integer >= 1.  Both recipes build the points in order of
+    increasing modulus.  A missing or unknown parameter is a ValueError
+    that names it.  Points given directly are ZeroSequence(points).
     """
-    if kind not in ("rotated_radial", "separated"):
+    recipes = {  # builder and its parameters' defaults, None where required
+        "rotated_radial": (_radial, {"q": None, "n": None, "angle_step": 0.0}),
+        "separated": (_separated, {"c": None, "s": None, "n": None}),
+    }
+    if kind not in recipes:
         raise ValueError(f"unknown sequence kind {kind!r}")
-    if params["n"] < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "rotated_radial":
-        return _radial(params["q"], params["n"], params.get("angle_step", 0.0))
-    return _separated(params["c"], params["s"], params["n"])
+    build, defaults = recipes[kind]
+    for name in params:
+        if name not in defaults:
+            raise ValueError(f"{kind} takes no parameter {name!r}")
+    args = {**defaults, **params}
+    for name, value in args.items():
+        if value is None:
+            raise ValueError(f"{kind} requires the parameter {name!r}")
+    n = args["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return build(**args)
 
 
 def _radial(q: float, n: int, angle_step: float) -> ZeroSequence:
@@ -251,7 +248,7 @@ def _radial(q: float, n: int, angle_step: float) -> ZeroSequence:
     if np.any(radii > 1.0 - ETA_MIN):
         raise ValueError("q**n falls below the circle margin ETA_MIN")
     pts = radii * np.exp(1j * angle_step * k)
-    return ZeroSequence(_sorted_points(pts))
+    return ZeroSequence(pts)
 
 
 def _separated(c: float, s: float, n: int) -> ZeroSequence:
@@ -275,5 +272,5 @@ def _separated(c: float, s: float, n: int) -> ZeroSequence:
         gap = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(gap, np.inf)
         if np.all(gap >= (c * deltas ** s)[:, None]):
-            return ZeroSequence(_sorted_points(pts))
+            return ZeroSequence(pts)
         level += 1

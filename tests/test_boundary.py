@@ -86,6 +86,24 @@ def test_fourier_examples():
     assert np.max(np.abs(spec)) < 1e-14
 
 
+def test_function_lengths_must_match_the_grid():
+    grid = _grid()
+    with pytest.raises(ValueError, match="sample count does not match"):
+        BoundaryFunction(grid, np.ones(grid.size - 1))
+    with pytest.raises(ValueError, match="spectrum length does not match"):
+        BoundaryFunction.from_spectrum(grid, np.ones(grid.size + 1))
+
+
+def test_coefficient_band_is_half_open():
+    grid = _grid()
+    zeta = BoundaryFunction.from_callable(grid, lambda z: z)
+    half = grid.size // 2
+    assert zeta.coefficient(-half) == pytest.approx(0.0, abs=1e-14)
+    for n in (half, -half - 1):
+        with pytest.raises(ValueError, match="outside the grid band"):
+            zeta.coefficient(n)
+
+
 def test_round_trip_and_parseval(rng):
     grid = _grid(10)
     f = _random_bandlimited(rng, grid)
@@ -170,6 +188,12 @@ def test_tilde_examples():
     assert np.max(np.abs(tilde(theta1, one).samples - 1.0)) < 1e-14
     with pytest.raises(ValueError):
         tilde(BoundaryFunction(grid, np.full(grid.size, 0.5)), one)
+
+
+def test_tilde_refuses_two_grids():
+    theta = BoundaryFunction.from_callable(_grid(8), lambda z: z)
+    with pytest.raises(ValueError, match="different grids"):
+        tilde(theta, BoundaryFunction(_grid(9), np.ones(512)))
 
 
 def test_tilde_involution_isometry(rng):
@@ -807,6 +831,16 @@ def test_csv_rejects_positions_off_the_grid(tmp_path, positions):
     path = tmp_path / "bad.csv"
     path.write_text("".join(f"{t},1.0,0.0\n" for t in positions))
     with pytest.raises(ValueError, match="first column"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("count", [12, 17])
+def test_csv_rejects_row_counts_off_a_power_of_two(tmp_path, count):
+    from modelspace.boundary import read_csv
+
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(f"{t},1.0,0.0\n" for t in range(count)))
+    with pytest.raises(ValueError, match="not a power of two"):
         read_csv(path)
 
 

@@ -19,7 +19,8 @@ from modelspace import (
     measure_smoothness,
     projection_decay_report,
 )
-from modelspace.classify import RATIO_SPREAD, _decide_bounded
+from modelspace.boundary import lp_norm
+from modelspace.classify import GEVREY_FLOOR, RATIO_SPREAD, _decide_bounded, _decide_lower_bounded
 
 
 def _radial(n, q=0.5):
@@ -80,6 +81,19 @@ def test_bounded_rule_spread_edge_uses_numpy_median(rng, count):
         seen.add(got)
         top = np.nextafter(top, np.inf)
     assert seen == {"holds", "inconclusive"}
+
+
+def test_bounded_rule_edge_windows():
+    # a window with no finite ratio decides nothing; an all-zero one is bounded
+    assert _decide_bounded(np.array([1.0, 2.0, np.inf, np.nan]), 2)[0] == "inconclusive"
+    assert _decide_bounded(np.array([np.inf, 1.0, 0.0, 0.0]), 2)[0] == "holds"
+
+
+def test_lower_bounded_rule_below_the_floor():
+    # a positive minimum under the floor fails only at the end of a decay run
+    low = GEVREY_FLOOR / 10
+    assert _decide_lower_bounded(np.array([1.0, 0.3, 0.09, low]), 0)[0] == "fails"
+    assert _decide_lower_bounded(np.array([1.0, 1.0, 1.0, low]), 0)[0] == "inconclusive"
 
 
 def test_bmo_scale_equivariance(rng):
@@ -202,6 +216,34 @@ def test_measure_smoothness_sobolev_pure_modes():
         assert got == pytest.approx(n ** 0.75, abs=1e-10 * n)
 
 
+def _hand_built_sobolev_norm(f, p, s):
+    # the principal branch of (i n)**s written out by hand, mode 0 set to zero:
+    # exp(s (log|n| + i pi/2 sign n)), the reference for numpy's power
+    modes = f.grid.modes
+    mult = np.zeros(f.grid.size, dtype=complex)
+    nz = modes != 0
+    mult[nz] = np.exp(s * (np.log(np.abs(modes[nz])) + 1j * (math.pi / 2.0) * np.sign(modes[nz])))
+    return lp_norm(BoundaryFunction.from_spectrum(f.grid, f.spectrum * mult), p)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_measure_smoothness_sobolev_matches_hand_built_multiplier(m):
+    # numpy's principal-branch power gives the same norms to within 1e-15
+    # relative (measured: at most 2.7e-16 over these inputs)
+    grid = BoundaryGrid(m)
+    noise = np.random.default_rng(7).normal(size=(2, grid.size))
+    fs = [
+        BoundaryFunction.from_callable(grid, lambda z: 1.0 / (1 - 0.9 * z)),
+        BoundaryFunction.from_callable(grid, lambda z: np.exp(z) + 0.3 * np.conj(z) ** 3),
+        BoundaryFunction(grid, noise[0] + 1j * noise[1]),
+    ]
+    for f in fs:
+        for s in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.7):
+            for p in (1.5, 2.0, 3.0, 7.0):
+                got = measure_smoothness(f, SmoothnessDescriptor("sobolev", p=p, s=s))
+                assert got == pytest.approx(_hand_built_sobolev_norm(f, p, s), rel=1e-15, abs=0)
+
+
 def test_measure_smoothness_lipschitz_zeta():
     grid = BoundaryGrid(10)
     zeta = BoundaryFunction.from_callable(grid, lambda z: z)
@@ -257,6 +299,15 @@ def test_projection_decay_report_transform_count(monkeypatch, rng, kind, params,
     )
     projection_decay_report(product, f, SmoothnessDescriptor(kind, **params))
     assert len(calls) == count
+
+
+def test_projection_decay_report_keeps_no_spectrum_on_f():
+    grid = BoundaryGrid(10)
+    product = BlaschkeProduct(ZeroSequence([0.5, -0.4j]))
+    f = boundary.riesz_project(BoundaryFunction.from_callable(grid, lambda z: np.exp(z)), "+")
+    for kind, params in [("bmo", {}), ("sobolev", {"p": 2.0, "s": 1.0})]:
+        projection_decay_report(product, f, SmoothnessDescriptor(kind, **params))
+        assert "spectrum" not in vars(f)
 
 
 def test_projection_decay_report_single_zero():

@@ -114,6 +114,21 @@ def test_classify_cli_requires_parameters(files):
         main(["classify", "--zeros", zpath, "--values", wpath, "--class", "sobolev"])
 
 
+def test_classify_flags_follow_the_class_table():
+    # the --class choices are the descriptor table's kinds, and each parameter
+    # a kind takes is a flag of classify, so neither side can grow alone
+    from modelspace import core
+    from modelspace.cli import _parser
+
+    classify = _parser()[1].choices["classify"]
+    options = {a.dest: a for a in classify._actions}
+    assert options["klass"].choices == list(core._CLASS_PARAMETERS)
+    taken = {name for names in core._CLASS_PARAMETERS.values() for name in names}
+    assert taken == set(core._PARAMETER_FLOORS)
+    for name in taken:
+        assert options[name].option_strings == [f"--{name}"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--class", "bmo", "--alpha", "1"],
     ["--class", "sobolev", "--p", "0.5", "--s", "1"],

@@ -77,6 +77,44 @@ def test_generate_rejects_bad_parameters():
         generate_sequence("no_such_kind")
 
 
+@pytest.mark.parametrize("kind, params, names", [
+    ("rotated_radial", {"q": 0.5, "n": 2.5}, "n must be an integer"),
+    ("separated", {"c": 1.0, "s": 0.3, "n": 3.7}, "n must be an integer"),
+    ("rotated_radial", {"q": 0.5, "n": True}, "n must be an integer"),
+    ("rotated_radial", {"q": 0.5, "n": 0}, "n must be an integer >= 1"),
+    ("separated", {"c": 1.0, "s": 0.3, "n": -2}, "n must be an integer >= 1"),
+    ("rotated_radial", {"q": 0.5, "n": 4, "angle_stp": 0.2}, "takes no parameter 'angle_stp'"),
+    ("separated", {"c": 1.0, "s": 0.3, "n": 4, "q": 0.5}, "takes no parameter 'q'"),
+    ("rotated_radial", {"n": 4}, "requires the parameter 'q'"),
+    ("separated", {"c": 1.0, "n": 4}, "requires the parameter 's'"),
+    ("separated", {"c": 0.0, "s": 0.3, "n": 4}, "c must be positive"),
+    ("separated", {"c": -1.0, "s": 0.3, "n": 4}, "c must be positive"),
+])
+def test_generate_names_the_bad_parameter(kind, params, names):
+    with pytest.raises(ValueError, match=names):
+        generate_sequence(kind, **params)
+
+
+def test_generate_takes_numpy_integers():
+    for kind, params in [("rotated_radial", {"q": 0.5}), ("separated", {"c": 1.0, "s": 0.3})]:
+        got = generate_sequence(kind, n=np.int64(6), **params).points
+        assert np.array_equal(got, generate_sequence(kind, n=6, **params).points)
+
+
+@pytest.mark.parametrize("q, n, step", [(0.5, 10, None), (0.7, 12, 0.13), (0.9999, 200, 2.0)])
+def test_rotated_radial_keeps_construction_order(q, n, step):
+    # the moduli 1 - q**k increase with k, so the points come in the formula's order
+    k = np.arange(1, n + 1)
+    params = {} if step is None else {"angle_step": step}
+    got = generate_sequence("rotated_radial", q=q, n=n, **params).points
+    assert np.array_equal(got, (1 - q ** k) * np.exp(1j * (step or 0.0) * k))
+
+
+@pytest.mark.parametrize("c, s, n", [(1.0, 0.4, 8), (0.3, 0.1, 32), (0.05, 0.25, 128)])
+def test_separated_moduli_strictly_increase(c, s, n):
+    assert np.all(np.diff(generate_sequence("separated", c=c, s=s, n=n).moduli) > 0)
+
+
 def test_zero_sequence_invariants():
     with pytest.raises(ValueError):
         ZeroSequence(np.array([]))
@@ -137,6 +175,8 @@ def test_truncate_is_prefix():
 def test_value_sequence_validation():
     with pytest.raises(ValueError):
         ValueSequence([np.inf])
+    with pytest.raises(ValueError, match="at least one entry"):
+        ValueSequence([])
     w = ValueSequence([1, 2j])
     assert len(w) == 2
 
@@ -234,6 +274,27 @@ def test_smoothness_descriptor_validation():
         SmoothnessDescriptor("gevrey", alpha=-2.0)
     with pytest.raises(ValueError):
         SmoothnessDescriptor("weird")
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("lipschitz", {"alpha": 1.0, "p": 2.0}, "lipschitz takes no p"),
+    ("gevrey", {"alpha": 1.0, "s": 1.0}, "gevrey takes no s"),
+    ("bmo", {"s": 1.0}, "bmo takes no s"),
+    ("sobolev", {"alpha": 1.0}, "sobolev takes no alpha"),  # alpha is checked before p
+    ("lipschitz", {}, r"lipschitz requires alpha in \(0, inf\)"),
+    ("sobolev", {"p": 1.0, "s": 1.0}, r"sobolev requires p in \(1, inf\)"),
+    ("sobolev", {"p": 2.0}, r"sobolev requires s in \(0, inf\)"),
+])
+def test_smoothness_descriptor_names_the_parameter(kind, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SmoothnessDescriptor(kind, **params)
+
+
+def test_smoothness_descriptor_to_dict_lists_its_parameters():
+    assert SmoothnessDescriptor("bmo").to_dict() == {"kind": "bmo"}
+    assert SmoothnessDescriptor("gevrey", alpha=0.5).to_dict() == {"kind": "gevrey", "alpha": 0.5}
+    d = SmoothnessDescriptor("sobolev", p=2, s=1).to_dict()
+    assert list(d.items()) == [("kind", "sobolev"), ("p", 2), ("s", 1)]
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -37,6 +37,7 @@ from modelspace import (
     sublevel_indicator,
 )
 from modelspace.experiments import (
+    ExperimentResult,
     SUBLEVEL_ANGLES,
     SUBLEVEL_DEPTH,
     _truncation_ladder,
@@ -608,3 +609,12 @@ def test_experiment_determinism_and_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "label,index,value"
     assert len(lines) == 1 + len(a.series)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_experiment_series_refuse_non_finite_entries(bad):
+    result = ExperimentResult("probe", {})
+    result.add("ok", 0, 1.5)
+    with pytest.raises(ValueError, match=r"series entry x\[3\] is not finite"):
+        result.add("x", 3, bad)
+    assert result.series == [("ok", 0, 1.5)]

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
     BoundaryGrid,
+    SmoothnessDescriptor,
     ValueSequence,
     ZeroSequence,
     blaschke_factor,
     cauchy_eval,
+    classify_trace,
     conjugate_matrix,
     conjugate_sequence,
     eval_product,
@@ -22,6 +26,7 @@ from modelspace import (
     invert_conjugate,
     kernel_interpolant,
     lagrange_interpolant,
+    log_growth_check,
     log_samples,
     membership_defect,
     model_project,
@@ -31,7 +36,7 @@ from modelspace import (
 )
 from modelspace.blaschke import POINT_BLOCK, all_derivatives, sublevel_indicator
 from modelspace.experiments import SUBLEVEL_ANGLES, SUBLEVEL_DEPTH
-from modelspace.interp import _polar_lattice_eval
+from modelspace.interp import WARN_CONDITION, _polar_lattice_eval
 
 
 def _zeros(*points):
@@ -291,6 +296,20 @@ def test_invert_conjugate_examples(rng):
         assert np.max(np.abs(back.values - w.values)) < 1e-8
 
 
+@pytest.mark.parametrize("call", [
+    conjugate_sequence,
+    invert_conjugate,
+    kernel_interpolant,
+    residue_identity_check,
+    exp_dichotomy,
+    log_growth_check,
+    lambda zeros, values: classify_trace(zeros, values, SmoothnessDescriptor("bmo")),
+])
+def test_pair_routines_refuse_differing_lengths(call):
+    with pytest.raises(ValueError, match="lengths differ"):
+        call(_zeros(0, 0.5), ValueSequence([1.0, 2.0, 3.0]))
+
+
 def test_invert_conjugate_ill_conditioning():
     zeros = _zeros(0.5, 0.5 + 1e-9)
     assert np.linalg.cond(conjugate_matrix(zeros)) > 1e12
@@ -343,6 +362,15 @@ def test_kernel_interpolant_examples(rng):
     via_lagrange = lagrange_interpolant(zeros, w)
     zs = np.array([0.2, 0.5j, -0.4 - 0.3j])
     assert np.max(np.abs(via_kernel(zs) - via_lagrange(zs))) < 1e-12
+
+
+def test_kernel_interpolant_warns_above_warn_condition():
+    # two zeros 1e-4 apart: Gram condition about 4e8, between the warning
+    # level and MAX_CONDITION, so the interpolant is built with a warning
+    with pytest.warns(UserWarning, match="kernel Gram matrix is poorly conditioned") as caught:
+        rep = kernel_interpolant(_zeros(0.0, 1e-4), ValueSequence([1.0, 2.0]))
+    assert len(caught) == 1
+    assert WARN_CONDITION < rep.condition < modelspace.interp.MAX_CONDITION
 
 
 def test_two_routes_agree_on_boundary(rng):
@@ -539,6 +567,14 @@ def test_residue_identity_examples(rng):
         w = ValueSequence(rng.normal(size=n) + 1j * rng.normal(size=n))
         report = residue_identity_check(zeros, w, m=12)
         assert report.scalars["max_discrepancy"] < 1e-7
+
+
+def test_residue_identity_report_writes_complex_values_as_pairs():
+    report = residue_identity_check(_zeros(0, 0.5), ValueSequence([1.0, 2.0j]), m=10)
+    data = json.loads(json.dumps(report.to_dict()))
+    want = report.series["conjugate_values"]
+    assert data["series"]["conjugate_values"] == [[w.real, w.imag] for w in want]
+    assert any(w.imag != 0 for w in want)
 
 
 @pytest.mark.parametrize("q, m", [(0.7, 12), (0.5, 17)])
