@@ -171,7 +171,7 @@ def _frostman_sums(zeros: ZeroSequence, zeta: np.ndarray) -> np.ndarray:
 def frostman_sum(zeros: ZeroSequence, zeta: complex) -> float:
     """sum over j of (1 - |z_j|) / |zeta - z_j| at a boundary point zeta."""
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-9:
+    if not abs(abs(zeta) - 1.0) <= 1e-9:  # NaN fails this too
         raise ValueError("zeta must lie on the unit circle")
     return float(_frostman_sums(zeros, np.array([zeta]))[0])
 

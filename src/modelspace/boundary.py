@@ -14,6 +14,7 @@ larger ones take radix-2 steps down to 2^16, within 4e-15 max|X| of np.fft.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -346,26 +347,6 @@ def _rms_bound_row(p1: np.ndarray, p2: np.ndarray, length: int) -> np.ndarray:
     return np.sqrt(row, out=row)
 
 
-def _scan_length(ext, p1, p2, length: int, row: np.ndarray, best: float, seen: int) -> float:
-    # the running maximum after the arcs of one length: those above both
-    # bounds are evaluated exactly, largest sub-arc bound first, in chunks of
-    # 8, 16, 32, ... offsets, until the next bound is at or below the maximum;
-    # the arc at offset seen is in best already
-    offsets = np.flatnonzero(row > best)
-    offsets = offsets[offsets != seen]
-    if not offsets.size:
-        return best
-    bound = _sub_arc_bound(p1, p2, length, offsets)
-    order = np.argsort(-bound)
-    offsets, bound = offsets[order], bound[order]
-    done, size = 0, 8
-    while done < (alive := int(np.count_nonzero(bound > best))):
-        stop = min(done + size, alive)
-        best = max(best, _arc_oscillation_at(ext, length, offsets[done:stop]))
-        done, size = stop, 2 * size
-    return best
-
-
 def bmo_norm(f: BoundaryFunction) -> float:
     """Mean-oscillation norm estimate |mean| + max over dyadic arcs.
 
@@ -427,7 +408,18 @@ def bmo_norm(f: BoundaryFunction) -> float:
             if rows[outer][::length].max() * math.sqrt(outer / length) * round_up <= best:
                 continue
             rows[length] = _rms_bound_row(p1, p2, length)
-        best = _scan_length(ext, p1, p2, length, rows[length], best, seen.get(length, -1))
+        offsets = np.flatnonzero(rows[length] > best)
+        offsets = offsets[offsets != seen.get(length, -1)]
+        if not offsets.size:
+            continue
+        bound = _sub_arc_bound(p1, p2, length, offsets)
+        order = np.argsort(-bound)
+        offsets, bound = offsets[order], bound[order]
+        done, size = 0, 8
+        while done < (alive := int(np.count_nonzero(bound > best))):
+            stop = min(done + size, alive)
+            best = max(best, _arc_oscillation_at(ext, length, offsets[done:stop]))
+            done, size = stop, 2 * size
     return abs(mean) + best
 
 
@@ -468,7 +460,9 @@ def read_csv(path) -> BoundaryFunction:
     The offset is read from the first column, which must be exactly t or
     exactly t + 0.5 for t = 0, ..., M - 1.  Every sample must be finite.
     """
-    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    with warnings.catch_warnings():  # an empty file is refused below, with no warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
     count = len(data)
     m = int(math.log2(count)) if count else 0
     if 1 << m != count:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .boundary import BoundaryFunction, bmo_norm, lp_norm, riesz_project
-from .core import DiagnosticsReport, SmoothnessDescriptor, ValueSequence, ZeroSequence
+from .core import (DiagnosticsReport, SmoothnessDescriptor, ValueSequence, ZeroSequence,
+                   _require_paired)
 from .interp import conjugate_sequence, trace
 
 # decision-rule constants
@@ -74,17 +75,12 @@ def _terminal_geometric_run(win: np.ndarray, decay: bool = False) -> int:
     consecutive ratios grow (or, with decay=True, shrink) by at least
     GROWTH_FACTOR per step.
     """
-    count = 1
-    for i in range(win.size - 1, 0, -1):
-        a, b = win[i - 1], win[i]
-        if not (np.isfinite(a) and np.isfinite(b)) or a <= 0 or b <= 0:
-            break
+    a, b = win[:-1], win[1:]
+    with np.errstate(all="ignore"):  # every pair is divided, also those the run never reaches
         step = a / b if decay else b / a
-        if step >= GROWTH_FACTOR:
-            count += 1
-        else:
-            break
-    return count
+        kept = np.isfinite(a) & np.isfinite(b) & (a > 0) & (b > 0) & (step >= GROWTH_FACTOR)
+    breaks = np.flatnonzero(~kept)
+    return int(win.size - 1 - breaks[-1]) if breaks.size else max(win.size, 1)
 
 
 def _decide_bounded(ratios_ordered: np.ndarray, window_start: int) -> tuple[str, dict]:
@@ -191,8 +187,7 @@ def classify_trace(
 
 def log_growth_check(zeros: ZeroSequence, values: ValueSequence) -> DecayVerdict:
     """Test |w_k| = O(log(2 / (1 - |z_k|))) along the sequence."""
-    if len(zeros) != len(values):
-        raise ValueError("value/zero sequence lengths differ")
+    _require_paired(zeros, values)
     order, gaps = _boundary_order(zeros)
     ratios = np.abs(values.values[order]) / np.log(2.0 / gaps)
     return _verdict("log_growth", zeros, ratios, False, None)

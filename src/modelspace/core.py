@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,12 +19,30 @@ import numpy as np
 ETA_MIN = 1e-6
 
 _GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0))
+_PAIR_BLOCK = 1 << 17  # entries per row block of _nearest's distance table (2 MB of complex)
 
 
 def pseudohyperbolic_distance(a: complex, b: complex) -> float:
     """|a - b| / |1 - conj(a) b|, the automorphism-invariant disk metric."""
     a, b = complex(a), complex(b)
     return abs(a - b) / abs(1.0 - a.conjugate() * b)
+
+
+def _is_real(v) -> bool:  # a real number, numpy's included, that is not a bool
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _nearest(pts: np.ndarray, pseudo: bool):
+    # (slice, each row's distance to its nearest other point, inf if none) per row block
+    # of at most _PAIR_BLOCK entries: |a - b|, or with pseudo |a - b| / |1 - conj(a) b|
+    step = max(1, _PAIR_BLOCK // pts.size)
+    for lo in range(0, pts.size, step):
+        rows = pts[lo : lo + step, None]
+        d = np.abs(rows - pts)
+        if pseudo:
+            d /= np.abs(1.0 - np.conj(rows) * pts)
+        np.fill_diagonal(d[:, lo:], np.inf)
+        yield slice(lo, lo + step), d.min(axis=1)
 
 
 def _to_pairs(values: np.ndarray) -> list:
@@ -86,13 +105,8 @@ class ZeroSequence(_JsonFile):
         return float(np.sum(1.0 - self.moduli))
 
     def min_separation(self) -> float:
-        """Smallest pairwise pseudohyperbolic distance."""
-        pts = self.points
-        rho = np.abs(pts[:, None] - pts[None, :]) / np.abs(
-            1.0 - np.conj(pts[:, None]) * pts[None, :]
-        )
-        np.fill_diagonal(rho, np.inf)
-        return float(rho.min()) if len(self) > 1 else math.inf
+        """Smallest pairwise pseudohyperbolic distance (inf for one point)."""
+        return float(min(d.min() for _, d in _nearest(self.points, True)))
 
     def truncate(self, n: int) -> "ZeroSequence":
         """First n points, preserving order (nested truncations)."""
@@ -131,8 +145,7 @@ class ValueSequence(_JsonFile):
 
     def ell_p_gamma(self, zeros: ZeroSequence, p: float, gamma: float) -> float:
         """The weighted functional sum |w_j|^p (1 - |z_j|)^gamma."""
-        if len(zeros) != len(self):
-            raise ValueError("value/zero sequence lengths differ")
+        _require_paired(zeros, self)
         return float(np.sum(np.abs(self.values) ** p * (1.0 - zeros.moduli) ** gamma))
 
     def to_dict(self) -> dict:
@@ -141,6 +154,11 @@ class ValueSequence(_JsonFile):
     @classmethod
     def from_dict(cls, data: dict) -> "ValueSequence":
         return cls(_from_pairs(data, "values"))
+
+
+def _require_paired(zeros: ZeroSequence, values: ValueSequence) -> None:
+    if len(zeros) != len(values):
+        raise ValueError("value/zero sequence lengths differ")
 
 
 # smoothness kind -> the parameters it takes, each in its open range (floor, inf)
@@ -175,7 +193,7 @@ class SmoothnessDescriptor:
             if name not in _CLASS_PARAMETERS[self.kind]:
                 if v is not None:
                     raise ValueError(f"{self.kind} takes no {name}")
-            elif v is None or not floor < v < math.inf:
+            elif not (_is_real(v) and floor < v < math.inf):
                 raise ValueError(f"{self.kind} requires {name} in ({floor:g}, inf)")
 
     def to_dict(self) -> dict:
@@ -234,8 +252,10 @@ def generate_sequence(kind: str, **params) -> ZeroSequence:
     for name, value in args.items():
         if value is None:
             raise ValueError(f"{kind} requires the parameter {name!r}")
+        if name != "n" and not _is_real(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     n = args["n"]
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not (_is_real(n) and isinstance(n, numbers.Integral)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return build(**args)
 
@@ -269,8 +289,7 @@ def _separated(c: float, s: float, n: int) -> ZeroSequence:
         if deltas.min() < ETA_MIN:
             raise ValueError(f"cannot satisfy the separation condition for {n} points")
         pts = (1.0 - deltas) * np.exp(1j * (2.0 * math.pi * j / n + _GOLDEN_ANGLE * level))
-        gap = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(gap, np.inf)
-        if np.all(gap >= (c * deltas ** s)[:, None]):
+        gap = c * deltas ** s  # required of each point's nearest neighbour
+        if all(np.all(d >= gap[block]) for block, d in _nearest(pts, False)):
             return ZeroSequence(pts)
         level += 1

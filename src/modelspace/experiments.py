@@ -22,7 +22,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, _lagrange_ladder, _rung_derivatives, sublevel_indicator
 from .boundary import BoundaryFunction, BoundaryGrid, bmo_norm, h2_defect, lp_norm, riesz_project
 from .classify import DecayVerdict, log_growth_check
-from .core import ValueSequence, ZeroSequence
+from .core import ValueSequence, ZeroSequence, _require_paired
 from .interp import _TABLE_ENTRIES, _polar_lattice_eval, cauchy_eval
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
@@ -110,18 +110,18 @@ def _truncation_ladder(n: int) -> list[int]:
 def _log_projection(name: str, zeros: ZeroSequence, m: int):
     # set-up shared by the two pipelines of the logarithm: the result on the
     # half-offset grid (resolution checked), the H2 defect of the raw samples
-    # of log(1 - z), and phi = P_+ log(1 - z)
-    grid = BoundaryGrid(m, offset=0.5)
+    # of log(1 - z), phi = P_+ log(1 - z), and the envelope log(2 / (1 - |z_j|))
+    defect, phi = _log_parts(m)
     result = ExperimentResult(name=name, parameters={"grid_log2": m, "n_zeros": len(zeros)})
-    margin = grid.size * (1.0 - float(zeros.moduli.max()))
+    margin = phi.grid.size * (1.0 - float(zeros.moduli.max()))
     if margin < RESOLUTION_MARGIN:
         msg = (
-            f"grid of size {grid.size} under-resolves the kernel nearest the boundary "
+            f"grid of size {phi.grid.size} under-resolves the kernel nearest the boundary "
             f"(M (1 - max|z_j|) = {margin:.1f} < {RESOLUTION_MARGIN:g})"
         )
         warnings.warn(msg)
         result.warnings.append(msg)
-    return (result, *_log_parts(m))
+    return result, defect, phi, np.log(2.0 / (1.0 - zeros.moduli))
 
 
 def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
@@ -136,7 +136,7 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     g = model_project(B, phi) = B P_-(conj(B) phi) without a second projection.
     """
     start = time.perf_counter()
-    result, defect, phi = _log_projection("nonduality", zeros, m)
+    result, defect, phi, envelope = _log_projection("nonduality", zeros, m)
     result.parameters["log_sampling_defect"] = defect
     ladder = _truncation_ladder(len(zeros))
     coanalytic = []
@@ -147,7 +147,6 @@ def exp_nonduality(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     g_at = cauchy_eval(theta * co_n, zeros.points, tol=ALIASED_H2_TOL)
 
     residuals = np.abs(g_at - cauchy_eval(phi, zeros.points))
-    envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j in range(len(zeros)):
         result.add("value_preservation_residual", j, residuals[j])
         result.add("log_envelope_ratio", j, abs(g_at[j]) / envelope[j])
@@ -189,11 +188,10 @@ def exp_noninterpolation(zeros: ZeroSequence, m: int = 13) -> ExperimentResult:
     the zeros (R rung arrays at once: 6 of 4 MB at q = 0.5, n = 13, m = 18).
     """
     start = time.perf_counter()
-    result, _, phi = _log_projection("noninterpolation", zeros, m)
+    result, _, phi, envelope = _log_projection("noninterpolation", zeros, m)
     grid = phi.grid
     g_at = cauchy_eval(phi, zeros.points)
 
-    envelope = np.log(2.0 / (1.0 - zeros.moduli))
     for j, zj in enumerate(zeros.points):
         kernel = BoundaryFunction(grid, 1.0 / (1.0 - np.conj(zj) * grid.nodes))
         grid_norm = lp_norm(kernel, 1.0)
@@ -239,8 +237,7 @@ def exp_dichotomy(
     norms exp_noninterpolation takes of its samples by about 1e-13
     relative.
     """
-    if len(zeros) != len(values):
-        raise ValueError("value/zero sequence lengths differ")
+    _require_paired(zeros, values)
     start = time.perf_counter()
     grid = BoundaryGrid(m)
     result = ExperimentResult(

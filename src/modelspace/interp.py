@@ -18,7 +18,7 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeProduct, _at_points, _lagrange_ladder
 from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, _require_h2, tilde
-from .core import DiagnosticsReport, ValueSequence, ZeroSequence, _to_pairs
+from .core import DiagnosticsReport, ValueSequence, ZeroSequence, _require_paired, _to_pairs
 
 
 # entries per power table in one chunk of cauchy_eval points (2 MB of complex)
@@ -107,8 +107,7 @@ def conjugate_matrix(zeros: ZeroSequence) -> np.ndarray:
 
 def conjugate_sequence(zeros: ZeroSequence, values: ValueSequence) -> ValueSequence:
     """Transform of the values by the conjugate-sequence kernel matrix."""
-    if len(zeros) != len(values):
-        raise ValueError("value/zero sequence lengths differ")
+    _require_paired(zeros, values)
     return ValueSequence(conjugate_matrix(zeros) @ values.values)
 
 
@@ -125,8 +124,7 @@ def _refined_solve(matrix: np.ndarray, rhs: np.ndarray, what: str):
 
 def invert_conjugate(zeros: ZeroSequence, conjugate_values: ValueSequence) -> ValueSequence:
     """Solve for values whose conjugate sequence matches the target."""
-    if len(zeros) != len(conjugate_values):
-        raise ValueError("value/zero sequence lengths differ")
+    _require_paired(zeros, conjugate_values)
     solution, _ = _refined_solve(
         conjugate_matrix(zeros), conjugate_values.values, "conjugate matrix"
     )
@@ -205,13 +203,13 @@ def lagrange_interpolant(
     zeros: ZeroSequence, values: ValueSequence
 ) -> InterpolantRepresentation:
     """Interpolant through the Lagrange-type series over the product."""
+    _require_paired(zeros, values)
     return InterpolantRepresentation(zeros, values.values.copy(), "lagrange")
 
 
 def kernel_interpolant(zeros: ZeroSequence, values: ValueSequence) -> InterpolantRepresentation:
     """Interpolant as a combination of reproducing kernels at the zeros."""
-    if len(zeros) != len(values):
-        raise ValueError("value/zero sequence lengths differ")
+    _require_paired(zeros, values)
     pts = zeros.points
     gram = 1.0 / (1.0 - np.conj(pts)[None, :] * pts[:, None])
     coeffs, cond = _refined_solve(gram, values.values, "kernel Gram")
@@ -232,8 +230,7 @@ def residue_identity_check(
     computation agree.  f and B are sampled in one factor pass per zero,
     each bit for bit as its own sampler gives it.
     """
-    if len(zeros) != len(values):
-        raise ValueError("value/zero sequence lengths differ")
+    _require_paired(zeros, values)
     grid = BoundaryGrid(m)
     rows = [values.values / blaschke.all_derivatives(BlaschkeProduct(zeros))]
     f, theta = _lagrange_ladder(zeros.points, rows, grid.nodes, [len(zeros)])

@@ -224,6 +224,13 @@ def test_frostman_sum_examples():
         frostman_sum(half, 0.5)  # not on the circle
 
 
+@pytest.mark.parametrize("zeta", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan), np.inf])
+def test_frostman_sum_refuses_non_finite_points(zeta):
+    # NaN compares False with the circle tolerance, so it is refused, not summed to nan
+    with pytest.raises(ValueError, match="unit circle"):
+        frostman_sum(ZeroSequence([0.5]), zeta)
+
+
 def test_frostman_sup_examples():
     origin = ZeroSequence([0])
     for grid_size in (16, 64, 1024):

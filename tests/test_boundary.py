@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -842,6 +843,18 @@ def test_csv_rejects_row_counts_off_a_power_of_two(tmp_path, count):
     path.write_text("".join(f"{t},1.0,0.0\n" for t in range(count)))
     with pytest.raises(ValueError, match="not a power of two"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_csv_refuses_an_empty_file_without_a_warning(tmp_path, text):
+    from modelspace.boundary import read_csv
+
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" would raise here
+        with pytest.raises(ValueError, match="not a power of two"):
+            read_csv(path)
 
 
 @pytest.mark.parametrize("bad", ["nan,0.0", "0.0,inf", "-inf,1.0"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from modelspace import (
     projection_decay_report,
 )
 from modelspace.boundary import lp_norm
-from modelspace.classify import GEVREY_FLOOR, RATIO_SPREAD, _decide_bounded, _decide_lower_bounded
+from modelspace.classify import (
+    GEVREY_FLOOR,
+    GROWTH_FACTOR,
+    RATIO_SPREAD,
+    _decide_bounded,
+    _decide_lower_bounded,
+    _terminal_geometric_run,
+)
 
 
 def _radial(n, q=0.5):
@@ -94,6 +102,39 @@ def test_lower_bounded_rule_below_the_floor():
     low = GEVREY_FLOOR / 10
     assert _decide_lower_bounded(np.array([1.0, 0.3, 0.09, low]), 0)[0] == "fails"
     assert _decide_lower_bounded(np.array([1.0, 1.0, 1.0, low]), 0)[0] == "inconclusive"
+
+
+def _looped_run(win, decay=False):
+    # the terminal run as a loop from the last index back, stopping at the first break
+    count = 1
+    for i in range(win.size - 1, 0, -1):
+        a, b = win[i - 1], win[i]
+        if not (np.isfinite(a) and np.isfinite(b)) or a <= 0 or b <= 0:
+            break
+        step = a / b if decay else b / a
+        if step >= GROWTH_FACTOR:
+            count += 1
+        else:
+            break
+    return count
+
+
+def test_terminal_run_matches_the_loop(rng):
+    # windows of 0 to 8 growing, shrinking or random ratios with NaN, +-inf, 0,
+    # negative, tiny and huge entries mixed in, in both directions, with no warning
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-300, 1e300, GROWTH_FACTOR])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(3000):
+            size = int(rng.integers(0, 9))
+            steps = rng.uniform(0.3, 3.0, size) if trial % 3 else np.full(size, GROWTH_FACTOR)
+            win = np.cumprod(steps) if trial % 2 else np.exp(rng.normal(0.0, 1.5, size))
+            mask = rng.random(size) < 0.15
+            win[mask] = rng.choice(specials, int(mask.sum()))
+            for decay in (False, True):
+                with np.errstate(all="ignore"):
+                    want = _looped_run(win, decay)
+                assert _terminal_geometric_run(win, decay) == want, (win, decay)
 
 
 def test_bmo_scale_equivariance(rng):

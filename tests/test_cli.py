@@ -337,6 +337,18 @@ def test_experiment_dichotomy_defaults_to_unit_values(tmp_path):
     assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]
 
 
+def test_experiment_dichotomy_reads_values(tmp_path):
+    # --values is read from its file and passed on as it reads back
+    zeros = generate_sequence("rotated_radial", q=0.5, n=6, angle_step=0.0)
+    values = ValueSequence(np.linspace(1.0, 2.0, 6) * np.exp(0.7j * np.arange(6)))
+    values.to_json(tmp_path / "values.json")
+    out = tmp_path / "exp.json"
+    assert main(["--grid-log2", "10", "experiment", "--name", "dichotomy", "--radial-q", "0.5",
+                 "--n", "6", "--values", str(tmp_path / "values.json"), "--out", str(out)]) == 0
+    expect = exp_dichotomy(zeros, values, m=10)
+    assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]
+
+
 def _run_python(*args):
     # a fresh interpreter with the checkout's sources first on its path
     src = str(Path(__file__).resolve().parent.parent / "src")

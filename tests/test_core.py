@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import transient_peak
 from modelspace import (
     SmoothnessDescriptor,
     ValueSequence,
@@ -11,6 +12,7 @@ from modelspace import (
     generate_sequence,
     pseudohyperbolic_distance,
 )
+from modelspace.core import ETA_MIN, _GOLDEN_ANGLE
 
 
 def test_pseudohyperbolic_examples():
@@ -309,3 +311,88 @@ def test_smoothness_descriptor_to_dict_lists_its_parameters():
 def test_smoothness_descriptor_rejects_non_finite_parameters(kind, params):
     with pytest.raises(ValueError, match="requires"):
         SmoothnessDescriptor(kind, **params)
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("lipschitz", {"alpha": True}, "alpha"),
+    ("gevrey", {"alpha": "1"}, "alpha"),
+    ("sobolev", {"p": 2.0, "s": True}, "s"),
+    ("sobolev", {"p": 2.0 + 0j, "s": 1.0}, "p"),
+])
+def test_smoothness_descriptor_refuses_non_real_parameters(kind, params, name):
+    # a bool or a non-real value is refused by name, not accepted or left to a TypeError
+    with pytest.raises(ValueError, match=f"requires {name} in"):
+        SmoothnessDescriptor(kind, **params)
+
+
+def test_smoothness_descriptor_takes_numpy_reals():
+    assert SmoothnessDescriptor("gevrey", alpha=np.float64(0.5)).alpha == 0.5
+    assert SmoothnessDescriptor("sobolev", p=np.int64(2), s=np.float32(1.5)).to_dict() == {
+        "kind": "sobolev", "p": 2, "s": 1.5}
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("rotated_radial", {"q": "0.5", "n": 3}, "q"),
+    ("rotated_radial", {"q": 0.5, "n": 3, "angle_step": "0.1"}, "angle_step"),
+    ("rotated_radial", {"q": 0.5, "n": 3, "angle_step": True}, "angle_step"),
+    ("separated", {"c": "1", "s": 0.3, "n": 4}, "c"),
+    ("separated", {"c": True, "s": 0.3, "n": 4}, "c"),
+    ("separated", {"c": 1.0, "s": 0.3j, "n": 4}, "s"),
+])
+def test_generate_refuses_non_real_parameters(kind, params, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        generate_sequence(kind, **params)
+
+
+def test_generate_takes_numpy_reals():
+    for kind, params in [("rotated_radial", {"q": 0.5, "angle_step": 0.25}),
+                         ("separated", {"c": 1.0, "s": 0.3})]:
+        as_numpy = {k: np.float64(v) for k, v in params.items()}
+        got = generate_sequence(kind, n=6, **as_numpy).points
+        assert np.array_equal(got, generate_sequence(kind, n=6, **params).points)
+
+
+def _full_matrix_separated(c, s, n):
+    # the separated recipe as it was written with the whole n x n gap matrix
+    j = np.arange(n)
+    level = 1
+    while True:
+        delta = 2.0 ** (-level)
+        deltas = delta * (1.0 - j / (2.0 * n))
+        if deltas.min() < ETA_MIN:
+            return None
+        pts = (1.0 - deltas) * np.exp(1j * (2.0 * math.pi * j / n + _GOLDEN_ANGLE * level))
+        gap = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(gap, np.inf)
+        if np.all(gap >= (c * deltas ** s)[:, None]):
+            return pts
+        level += 1
+
+
+def _full_matrix_min_separation(pts):
+    rho = np.abs(pts[:, None] - pts[None, :]) / np.abs(1.0 - np.conj(pts[:, None]) * pts[None, :])
+    np.fill_diagonal(rho, np.inf)
+    return float(rho.min()) if pts.size > 1 else math.inf
+
+
+@pytest.mark.parametrize("c", [0.05, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.45])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+def test_blocked_separation_matches_the_full_matrix(c, s, n):
+    # the row-blocked nearest distances give the full-matrix layout, refusal and minimum
+    want = _full_matrix_separated(c, s, n)
+    if want is None:
+        with pytest.raises(ValueError, match="cannot satisfy"):
+            generate_sequence("separated", c=c, s=s, n=n)
+        return
+    zeros = generate_sequence("separated", c=c, s=s, n=n)
+    assert np.array_equal(zeros.points, want)
+    assert zeros.min_separation() == _full_matrix_min_separation(want)
+
+
+def test_separation_checks_keep_memory_linear():
+    # at n = 2000 the full matrices took 122 MiB (recipe) and 153 MiB (minimum)
+    made = []
+    assert transient_peak(lambda: made.append(generate_sequence(
+        "separated", c=0.05, s=0.3, n=2000))) <= 8 << 20
+    assert transient_peak(made[0].min_separation) <= 8 << 20

@@ -186,3 +186,20 @@ def test_every_exported_name_has_a_user():
         if not any(_mentions(node, name) for node in tops if name not in _node_names(node))
     )
     assert unused == []
+
+
+def test_one_function_states_the_pairing_rule():
+    # the refusal of differing zero and value counts is worded once in src/, in
+    # core._require_paired, which every pair routine calls
+    message = "value/zero sequence lengths differ"
+
+    def count(node):
+        return sum(isinstance(sub, ast.Constant) and sub.value == message for sub in ast.walk(node))
+
+    owners, total = [], 0
+    for path in sorted((ROOT / "src" / "modelspace").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += count(tree)
+        for name, node in _functions(tree):
+            owners += [f"{path.stem}.{name}"] * count(node)
+    assert owners == ["core._require_paired"] and total == 1

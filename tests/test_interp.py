@@ -300,6 +300,7 @@ def test_invert_conjugate_examples(rng):
     conjugate_sequence,
     invert_conjugate,
     kernel_interpolant,
+    lagrange_interpolant,
     residue_identity_check,
     exp_dichotomy,
     log_growth_check,
