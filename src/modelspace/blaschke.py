@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryFunction, BoundaryGrid
-from .core import DiagnosticsReport, ZeroSequence
+from .core import CHUNK_ENTRIES, DiagnosticsReport, ZeroSequence, _chunks
 
-# points per block of the samplers: a block's complex buffers (256 KB each)
-# stay in L2 while every zero passes over them
-POINT_BLOCK = 1 << 14
+# points per block of the samplers: the widest pass keeps four block-length
+# complex buffers, which share one working-set budget while every zero passes
+POINT_BLOCK = CHUNK_ENTRIES >> 2
 GOLDEN_ITERS = 80  # golden-section steps of the frostman_sup refinement
 
 # zeros per group of _lagrange_ladder's running products of z_j - z and of
@@ -161,11 +161,11 @@ def interpolation_delta(product: BlaschkeProduct) -> float:
 
 
 def _frostman_sums(zeros: ZeroSequence, zeta: np.ndarray) -> np.ndarray:
-    # sum over j of (1 - |z_j|) / |zeta - z_j| for each boundary point of the 1-D zeta
-    dist = np.abs(zeta[:, None] - zeros.points)
-    if dist.min() < 1e-15:
-        raise ValueError("zeta coincides with a zero's radial limit")
-    return np.sum((1.0 - zeros.moduli) / dist, axis=1)
+    # sum over j of (1 - |z_j|) / |zeta - z_j| at each zeta, where |zeta - z_j| >= ETA_MIN - 1e-9
+    gaps, out = 1.0 - zeros.moduli, np.empty(zeta.size)
+    for rows in _chunks(zeta.size, len(zeros)):
+        out[rows] = np.sum(gaps / np.abs(zeta[rows, None] - zeros.points), axis=1)
+    return out
 
 
 def frostman_sum(zeros: ZeroSequence, zeta: complex) -> float:
@@ -203,9 +203,9 @@ def frostman_sup(zeros: ZeroSequence, grid_size: int = 4096) -> float:
     next to the four top grid maximizers, and an arc of half-width
     min(spacing, 1 - |z_j|) around each zero's direction arg z_j, since a
     zero near the circle makes a peak narrower than the grid spacing that
-    the top nodes, often all on one broad peak, miss.  The grid sums are
-    accumulated one zero at a time into length-M buffers, so memory stays
-    O(M) whatever the number of zeros.
+    the top nodes, often all on one broad peak, miss.  Grid sums accumulate
+    one zero at a time into length-M buffers and the refinement's distances
+    come in core._chunks, so memory stays O(M + n) for n zeros.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")

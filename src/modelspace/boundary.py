@@ -20,10 +20,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .core import _chunks
+
 DEFECT_TOL = 1e-8  # relative-energy threshold for "negligible" negative modes
 UNIMODULAR_TOL = 1e-8  # largest ||theta| - 1| accepted on the grid
 _FFT_LEAF = 1 << 16  # largest transform handed to np.fft in one call
-_ARC_GATHER = 1 << 16  # entries per gathered chunk of the arc kernels (1 MB, stays in L2)
 
 
 @lru_cache(maxsize=8)
@@ -270,17 +271,15 @@ def membership_defect(
 
 def _arc_oscillation_at(ext: np.ndarray, length: int, offsets: np.ndarray) -> float:
     # max mean absolute deviation on the arcs of one length starting at the
-    # offsets, in chunks of at most _ARC_GATHER entries, each gathered copy
-    # centred in place; win is the read-only sliding window of the contiguous
-    # ext (the buffer protocol refuses any other) without sliding_window_view's
-    # checks, 0.1 ms of a 1.1 ms call
+    # offsets, each gathered chunk centred in place; win is the read-only sliding
+    # window of the contiguous ext (the buffer protocol refuses any other) without
+    # sliding_window_view's checks, 0.1 ms of a 1.1 ms call
     win = np.ndarray((ext.size - length + 1, length), ext.dtype, ext, strides=2 * ext.strides)
     win.flags.writeable = False
-    step = max(1, _ARC_GATHER // length)
     inv = 1.0 / length
     best = 0.0
-    for lo in range(0, offsets.size, step):
-        w = win[offsets[lo : lo + step]]
+    for rows in _chunks(offsets.size, length):
+        w = win[offsets[rows]]
         w -= (w.sum(axis=1) * inv)[:, None]
         best = max(best, float(np.abs(w).sum(axis=1).max()) * inv)
     return best
@@ -301,8 +300,6 @@ def _sub_arc_bound(
     # by a few ulps of their bounds, and the centring term p2[M]/M = mean |c|^2
     # carries over.  So each T_i gets the RMS slack with l for L plus a term
     # in |mu|^2: 16 eps (p2[-1]/l + p2[M]/M + |mu|^2).
-    # The (offsets x (k + 1)) prefix entries are gathered in chunks of at
-    # most _ARC_GATHER.
     k = min(32, length // 4)
     sub = length // k
     inv, inv_sub = 1.0 / length, 1.0 / sub
@@ -310,9 +307,8 @@ def _sub_arc_bound(
     span = sub * np.arange(k + 1)
     eps = np.finfo(float).eps
     out = np.empty(offsets.size)
-    step = max(1, _ARC_GATHER // (k + 1))
-    for lo in range(0, offsets.size, step):
-        idx = offsets[lo : lo + step, None] + span
+    for rows in _chunks(offsets.size, k + 1):
+        idx = offsets[rows, None] + span
         s1 = p1[idx]
         mu = (s1[:, -1] - s1[:, 0]) * inv
         mi = s1[:, 1:] - s1[:, :-1]
@@ -325,7 +321,7 @@ def _sub_arc_bound(
         mi -= mu[:, None]
         t += mi.real**2 + mi.imag**2
         t += (16 * eps * (p2[-1] * inv_sub + p2[M] / M + (mu.real**2 + mu.imag**2)))[:, None]
-        out[lo : lo + step] = np.sqrt(t, out=t).mean(axis=1)
+        out[rows] = np.sqrt(t, out=t).mean(axis=1)
     return out
 
 
@@ -356,46 +352,61 @@ def bmo_norm(f: BoundaryFunction) -> float:
     the all-arcs value (the exhaustive scan is available separately).
 
     The scan is exact and pruned by bounds: it returns the same value as
-    computing the mean absolute deviation of every dyadic arc.  By
-    Cauchy-Schwarz an arc's mean absolute deviation is at most its RMS
-    deviation, which prefix sums of the centred samples c = s - mean(s)
-    give for every arc in O(1); a rounding slack of 16 eps (sum of |c|^2
-    over the doubled array / L + mean |c|^2) on each variance keeps the
-    bound above the deviation under cancellation.  The RMS rows of the
-    lengths L >= 128, and of L = M at offset 0 alone (the whole circle),
-    are built first, and the running maximum starts at the exact deviation
-    of the arc with the largest of their bounds, which its length's scan
-    leaves out.  The lengths are then taken from the longest down.  A
-    shorter row is built only if the enclosing-arc bound allows an arc
-    above the running maximum: with L2 >= 2L the nearest built
-    length, every arc of length L starting in [jL, (j+1)L) lies inside the
-    dyadic arc of length L2 at jL, and the mean minimises the mean square,
-    so its RMS deviation is at most sqrt(L2/L) times that arc's, and the
-    largest of these over j (rounded up by 8 eps) bounds the whole row.
-    Scaled by L2/L >= 2, the variance slack of row L2 is at least that of
-    row L, whose rounding it covers.  On each length the offsets whose RMS
-    bound exceeds the maximum are bounded again, from the same prefix
-    sums, by Jensen on k = min(32, L/4) equal sub-arcs (see
+    computing the mean absolute deviation of every dyadic arc (the whole
+    circle once, at offset 0), at every amplitude.  By Cauchy-Schwarz an arc's mean absolute deviation is at
+    most its RMS deviation, which prefix sums of the centred samples
+    c = s - mean(s) give for every arc in O(1).  The sums are taken of
+    c 2^-e, e the binary exponent of max|c|, so |c|^2 neither underflows
+    nor overflows; each bound is held against the running maximum scaled
+    by the same exact 2^-e, and the exact arcs read the unscaled samples.
+    A rounding slack of 16 eps (sum of |c|^2 over the doubled array / L +
+    mean |c|^2) on each variance keeps the bound above the deviation under
+    cancellation.  The RMS rows of the lengths L >= 128, and of L = M at
+    offset 0 alone (the whole circle), are built first, and the running
+    maximum starts at the exact deviation of the arc with the largest of
+    their bounds, which its length's scan leaves out.  The lengths are then
+    taken from the longest down.  A shorter row is built only if the
+    enclosing-arc bound allows an arc above the running maximum: with
+    L2 >= 2L the nearest built length, every arc of length L starting in
+    [jL, (j+1)L) lies inside the dyadic arc of length L2 at jL, and the mean
+    minimises the mean square, so its RMS deviation is at most sqrt(L2/L)
+    times that arc's, and the largest of these over j (rounded up by 8 eps)
+    bounds the whole row.  Scaled by L2/L >= 2, the variance slack of row L2
+    is at least that of row L, whose rounding it covers.  On each length the
+    offsets whose RMS bound exceeds the maximum are bounded again, from the
+    same prefix sums, by Jensen on k = min(32, L/4) equal sub-arcs (see
     _sub_arc_bound).  By concavity of sqrt that bound is at most the RMS
     bound, up to the slacks, and it tends to the deviation where the
     samples are nearly constant on each sub-arc.  The offsets above both
     bounds are evaluated exactly best-first, largest sub-arc bound first in
     doubling chunks, until the next bound is at or below the running
-    maximum.  A skipped arc's deviation is at most one of its bounds, hence
-    at most the result.  Arc means, here and in the helpers, multiply by
-    1/L and give the bits of dividing by L: numpy divides complex by real L
-    as a product with 1/(L + 0*0), and every arc and sub-arc length is a
-    power of two.
+    maximum.  An exact arc is centred on its own rounded mean, so its
+    computed deviation may exceed the true one by (log2 L + 2) 4 eps max|s|,
+    with max|s| <= |mean| + max|c|; every "running maximum" above is the
+    maximum less that drift of the length at hand.  A skipped arc's computed
+    deviation is then at most the result.  Arc means, here and in the
+    helpers, multiply by 1/L and give the bits of dividing by L: numpy
+    divides complex by real L as a product with 1/(L + 0*0), and every arc
+    and sub-arc length is a power of two.
     """
     s = f.samples
     M = s.size
     mean = complex(np.mean(s))
     ext = np.concatenate([s, s])
     c = ext - mean
+    top_c = float(np.abs(c[:M]).max())
+    e = math.frexp(top_c)[1]
+    np.ldexp(c.view(float), -e, out=c.view(float))  # exact: every |c| 2^-e < 1
     p1 = np.zeros(2 * M + 1, dtype=complex)
     np.cumsum(c, out=p1[1:])
     p2 = np.zeros(2 * M + 1)
     np.cumsum(c.real**2 + c.imag**2, out=p2[1:])
+    drift = 4 * np.finfo(float).eps * (abs(mean) + top_c)
+
+    def limit(length):  # the scaled bound an arc of this length must exceed
+        margin = best - (length.bit_length() + 1) * drift
+        return math.ldexp(margin, -e) if margin > 0 else -1.0  # bounds are >= 0
+
     lengths = [M >> k for k in range(f.grid.m - 1)]  # M, M/2, ..., 4
     rows = {L: _rms_bound_row(p1, p2, L) for L in lengths if L >= 128 or L == M}
     top = max(rows, key=lambda L: rows[L].max())
@@ -405,10 +416,10 @@ def bmo_norm(f: BoundaryFunction) -> float:
     for length in lengths:
         if length not in rows:
             outer = min(L for L in rows if L >= 2 * length)
-            if rows[outer][::length].max() * math.sqrt(outer / length) * round_up <= best:
+            if rows[outer][::length].max() * math.sqrt(outer / length) * round_up <= limit(length):
                 continue
             rows[length] = _rms_bound_row(p1, p2, length)
-        offsets = np.flatnonzero(rows[length] > best)
+        offsets = np.flatnonzero(rows[length] > limit(length))
         offsets = offsets[offsets != seen.get(length, -1)]
         if not offsets.size:
             continue
@@ -416,7 +427,7 @@ def bmo_norm(f: BoundaryFunction) -> float:
         order = np.argsort(-bound)
         offsets, bound = offsets[order], bound[order]
         done, size = 0, 8
-        while done < (alive := int(np.count_nonzero(bound > best))):
+        while done < (alive := int(np.count_nonzero(bound > limit(length)))):
             stop = min(done + size, alive)
             best = max(best, _arc_oscillation_at(ext, length, offsets[done:stop]))
             done, size = stop, 2 * size

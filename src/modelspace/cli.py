@@ -81,12 +81,14 @@ def _dichotomy(zeros: ZeroSequence, args) -> experiments.ExperimentResult:
 
 
 def _sublevel(zeros: ZeroSequence, args) -> experiments.ExperimentResult:
-    # the mean of the reproducing kernels at the zeros, sampled on the grid
+    # the mean of the reproducing kernels at the zeros, sampled on the grid; a flag
+    # not given leaves exp_sublevel's own default
     n = len(zeros)
     kernel = InterpolantRepresentation(zeros, np.full(n, 1.0 / n), "kernel_basis")
+    given = {"eps": args.epsilon, "n_radial": args.density}
     return experiments.exp_sublevel(
         zeros, kernel.sample(BoundaryGrid(args.grid_log2)),
-        eps=args.epsilon, n_radial=args.density,
+        **{name: value for name, value in given.items() if value is not None},
     )
 
 
@@ -101,8 +103,15 @@ EXPERIMENTS = {
     "sublevel": _sublevel,
 }
 
+# experiment flag -> the one pipeline that reads it
+_PIPELINE_FLAGS = {"--values": "dichotomy", "--epsilon": "sublevel", "--density": "sublevel"}
+
 
 def _experiment(zeros: ZeroSequence, args) -> dict:
+    for flag, name in _PIPELINE_FLAGS.items():
+        if getattr(args, flag[2:]) is not None and args.name != name:
+            raise ValueError(f"argument {flag}: not allowed with --name {args.name} "
+                             f"(only {name} reads it)")
     result = EXPERIMENTS[args.name](zeros, args)
     if args.csv:
         result.write_csv(args.csv)
@@ -157,8 +166,8 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     p = command("experiment", _experiment, "run one of the named pipelines")
     p.add_argument("--name", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--values", help="ValueSequence JSON (dichotomy only)")
-    p.add_argument("--epsilon", type=float, default=0.5, help="sublevel threshold")
-    p.add_argument("--density", type=int, default=48, help="radial lattice density")
+    p.add_argument("--epsilon", type=float, help="sublevel threshold (sublevel only)")
+    p.add_argument("--density", type=int, help="radial lattice density (sublevel only)")
     p.add_argument("--csv", help="flat CSV of all series")
     return parser, sub
 

@@ -22,8 +22,8 @@ import numpy as np
 from .blaschke import BlaschkeProduct, _lagrange_ladder, _rung_derivatives, sublevel_indicator
 from .boundary import BoundaryFunction, BoundaryGrid, bmo_norm, h2_defect, lp_norm, riesz_project
 from .classify import DecayVerdict, log_growth_check
-from .core import ValueSequence, ZeroSequence, _require_paired
-from .interp import _TABLE_ENTRIES, _polar_lattice_eval, cauchy_eval
+from .core import ValueSequence, ZeroSequence, _chunks, _require_paired
+from .interp import _polar_lattice_eval, cauchy_eval
 
 # a product factor is treated as resolved when M (1 - |z_j|) is at least this
 RESOLUTION_MARGIN = 32.0
@@ -228,8 +228,8 @@ def exp_dichotomy(
     w_j / B_n'(z_j), one masked division by the _rung_derivatives matrix,
     form one lower-triangular matrix; its product with the kernel matrix
     1 / (1 - z_j conj(z_k)) holds every rung's conjugate values, and its
-    product with the Cauchy block 1 / (zeta - z_j), built over chunks of
-    _TABLE_ENTRIES entries, feeds a running maximum per rung, so memory
+    product with the Cauchy block 1 / (zeta - z_j), built over core._chunks
+    of nodes, feeds a running maximum per rung, so memory
     stays O(M) whatever the number of zeros.  The sups agree with those of
     lagrange_interpolant(...).sample(grid) to rounding.  That method keeps
     the stable running-sum form: interior points need it for the 0/0 at
@@ -252,9 +252,8 @@ def exp_dichotomy(
     conjugate = rungs @ (1.0 / (1.0 - pts[:, None] * np.conj(pts)[None, :]))
     conjugate_max = np.abs(conjugate).max(axis=1, initial=0.0, where=lower)
     sups = np.zeros(count)
-    step = max(1, _TABLE_ENTRIES // count)
-    for lo in range(0, grid.size, step):
-        block = grid.nodes[None, lo : lo + step] - pts[:, None]
+    for nodes in _chunks(grid.size, count):
+        block = grid.nodes[None, nodes] - pts[:, None]
         np.divide(1.0, block, out=block)
         np.maximum(sups, np.abs(rungs @ block).max(axis=1), out=sups)
     for n in range(1, count + 1):

@@ -18,11 +18,8 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeProduct, _at_points, _lagrange_ladder
 from .boundary import DEFECT_TOL, BoundaryFunction, BoundaryGrid, _require_h2, tilde
-from .core import DiagnosticsReport, ValueSequence, ZeroSequence, _require_paired, _to_pairs
-
-
-# entries per power table in one chunk of cauchy_eval points (2 MB of complex)
-_TABLE_ENTRIES = 1 << 17
+from .core import (DiagnosticsReport, ValueSequence, ZeroSequence, _chunks, _require_paired,
+                   _to_pairs)
 
 # conjugate and Gram solves refuse matrices with a larger condition number
 MAX_CONDITION = 1e12
@@ -48,7 +45,7 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     spectrum[:M/2].reshape(-1, K).T, and the outer sum over a weights
     them by the powers (z**K)**a.  Powers are running products, so each
     term carries the same n-step rounding as Horner's rule.  Points are
-    taken in chunks that keep each table within _TABLE_ENTRIES entries.
+    taken in core._chunks, which keep each table within CHUNK_ENTRIES entries.
 
     Raises if f has more than tol relative energy in negative modes, or if
     a point lies outside the closed disk (|z| > 1 beyond a few ulps of
@@ -59,15 +56,14 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     K = 1 << ((f.grid.m - 1) // 2)
     blocks = spec[: f.grid.size // 2].reshape(-1, K).T  # [b, a] = c[a K + b]
     G = blocks.shape[1]  # G >= K
-    step = max(1, _TABLE_ENTRIES // G)
 
     def series(flat):
         out = np.empty(flat.size, dtype=complex)
-        for lo in range(0, flat.size, step):
-            zc = flat[lo : lo + step, None]
+        for rows in _chunks(flat.size, G):
+            zc = flat[rows, None]
             baby = _powers(zc, K)  # z**b
             giant = _powers(baby[:, -1:] * zc, G)  # (z**K)**a
-            out[lo : lo + step] = np.sum((baby @ blocks) * giant, axis=1)
+            out[rows] = np.sum((baby @ blocks) * giant, axis=1)
         return out
 
     return _at_points(series, z)

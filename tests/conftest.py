@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath
@@ -70,12 +71,18 @@ def arc_oscillation_divided(ext, length, offsets):
 
 def rms_pruned_bmo(f, exact):
     """bmo_norm before the sub-arc bound, in its division form: the RMS bound
-    alone picks the arcs that exact(ext, length, offsets) evaluates."""
+    alone picks the arcs that exact(ext, length, offsets) evaluates.  With
+    bmo_norm's rule, the prefix sums are of c 2^-e, e the binary exponent of
+    max|c|, and an arc of length L is evaluated when its bound exceeds the
+    running maximum less (log2 L + 2) 4 eps (|mean| + max|c|), both scaled
+    by 2^-e."""
     s = f.samples
     M = s.size
     mean = complex(np.mean(s))
     ext = np.concatenate([s, s])
-    c = ext - mean
+    top_c = float(np.abs(ext[:M] - mean).max())
+    e = math.frexp(top_c)[1]
+    c = np.ldexp((ext - mean).view(float), -e).view(complex)
     p1 = np.concatenate([[0.0], np.cumsum(c)])
     p2 = np.concatenate([[0.0], np.cumsum(c.real**2 + c.imag**2)])
     lengths = 4 << np.arange(f.grid.m - 1)
@@ -85,10 +92,12 @@ def rms_pruned_bmo(f, exact):
         var = (p2[length : length + M] - p2[:M]) / length - (mu.real**2 + mu.imag**2)
         slack = 16 * np.finfo(float).eps * (p2[-1] / length + p2[M] / M)
         np.sqrt(np.maximum(var, 0.0) + slack, out=row)
+    drift = 4 * np.finfo(float).eps * (abs(mean) + top_c)
     top, offset = divmod(int(bound.argmax()), M)
     best = exact(ext, int(lengths[top]), np.array([offset]))
     for row, length in zip(bound, lengths):
-        offsets = np.flatnonzero(row > best)
+        margin = best - (math.log2(length) + 2) * drift
+        offsets = np.flatnonzero(row > (math.ldexp(margin, -e) if margin > 0 else -1.0))
         best = max(best, exact(ext, int(length), offsets))
     return abs(mean) + best
 

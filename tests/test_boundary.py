@@ -41,7 +41,7 @@ from modelspace import (
     riesz_project,
     tilde,
 )
-from modelspace import boundary
+from modelspace import boundary, core
 from modelspace.boundary import DEFECT_TOL, _arc_oscillation_at
 from modelspace.interp import _polar_lattice_eval
 
@@ -449,6 +449,68 @@ def test_bmo_rms_bound_keeps_its_rounding_slack():
     assert bmo_norm(f) == _dyadic_scan(f) == 2.000000000000001
 
 
+@pytest.mark.parametrize("value, expected", [
+    (3.8108014959924693e-209, 3.8108014959924715e-209),
+    (13420773.678855069 + 1000, 13421773.678855069),
+])
+def test_bmo_pruned_matches_dyadic_scan_on_constants(value, expected):
+    # m = 6 constants the property test draws: np.mean's rounding leaves |c| at
+    # the rounding level, where |c|^2 underflows (the first) or the exact arcs
+    # round above their bounds (the second); an oracle that neither scales c nor
+    # lowers its threshold by the drift reads 3.8108014959924704e-209 and
+    # 13421773.678855067
+    f = BoundaryFunction(BoundaryGrid(6), np.full(64, value, dtype=complex))
+    assert bmo_norm(f) == division_form_bmo(f) == _dyadic_scan(f) == expected
+
+
+def test_bmo_scales_exactly_at_every_amplitude():
+    # |c|^2 underflows below about 1e-160 and overflows above about 1e154; the
+    # bounds come from c 2^-e, so bmo_norm(2^k g) is 2^k bmo_norm(g), with no
+    # warning, and at 1e-170 and 1e155 it is the dyadic scan
+    g = BoundaryFunction(BoundaryGrid(6), _normal(6, 6))
+    base = bmo_norm(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-900, 901):
+            f = BoundaryFunction(g.grid, np.ldexp(g.samples.view(float), k).view(complex))
+            assert bmo_norm(f) == math.ldexp(base, k), k
+        for amplitude in (1e-170, 1e155):
+            f = BoundaryFunction(BoundaryGrid(8), amplitude * _normal(8, 8))
+            assert bmo_norm(f) == _dyadic_scan(f)
+            assert bmo_norm(f) / amplitude == pytest.approx(2.0780734014449367, rel=1e-15)
+
+
+def _near_constant_inputs(count):
+    # seeded samples on m = 4 to 10 at the rounding level of their mean: a
+    # complex offset of modulus about 1e-3 to 1e8 plus complex normal noise of
+    # 1e-17 to 1e-12 of it
+    rng = np.random.default_rng(2026)
+    for _ in range(count):
+        m = int(rng.integers(4, 11))
+        offset = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-3, 8)
+        noise = 10.0 ** rng.uniform(-17, -12) * abs(offset)
+        yield BoundaryFunction(BoundaryGrid(m), offset + noise * (
+            rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)))
+
+
+def test_bmo_matches_dyadic_scan_at_the_rounding_level():
+    # an exact arc is centred on its own rounded mean, so here many computed
+    # deviations exceed their RMS bounds by rounding, and each must still be
+    # found.  Every arc of length M is the whole circle, which bmo_norm reads
+    # once, at offset 0; its rotations round apart, so the all-offset scan
+    # (_dyadic_scan) reads higher only where a rotation of the whole circle is
+    # its maximum (1 to 2 ulp on 1 of these inputs, 3 of the first 1,200)
+    for f in _near_constant_inputs(300):
+        s = f.samples
+        mean = abs(complex(np.mean(s)))
+        per_length = [_all_offsets(s, 1 << k) for k in range(2, f.grid.m + 1)]
+        whole = arc_oscillation_divided(np.concatenate([s, s]), s.size, np.array([0]))
+        value = bmo_norm(f)
+        assert value == mean + max(*per_length[:-1], whole)
+        scan = mean + max(per_length)  # _dyadic_scan(f)
+        assert value == scan or per_length[-1] > max(*per_length[:-1], whole)
+
+
 @pytest.mark.parametrize("name", ["normal_m12", "offset_1e8_noise_1e-3"])
 def test_arc_oscillation_chunks_bit_identical_to_unchunked_form(name):
     s = _ORACLE_INPUTS[name]().samples
@@ -456,7 +518,7 @@ def test_arc_oscillation_chunks_bit_identical_to_unchunked_form(name):
     rng = np.random.default_rng(10)
     for k in range(2, 13):
         length = 1 << k
-        step = max(1, boundary._ARC_GATHER // length)
+        step = max(1, core.CHUNK_ENTRIES // length)
         for count in (0, 1, step - 1, step, step + 1, 3 * step + 5):
             offsets = rng.integers(0, s.size, size=count)
             expected = arc_oscillation_divided(ext, length, offsets)

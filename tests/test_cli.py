@@ -12,6 +12,7 @@ import pytest
 from modelspace import (
     BoundaryFunction,
     BoundaryGrid,
+    InterpolantRepresentation,
     SmoothnessDescriptor,
     ValueSequence,
     ZeroSequence,
@@ -347,6 +348,48 @@ def test_experiment_dichotomy_reads_values(tmp_path):
                  "--n", "6", "--values", str(tmp_path / "values.json"), "--out", str(out)]) == 0
     expect = exp_dichotomy(zeros, values, m=10)
     assert json.loads(out.read_text())["series"] == [list(row) for row in expect.series]
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("nonduality", "--values", "VALUES"),
+    ("noninterpolation", "--values", "VALUES"),
+    ("sublevel", "--values", "missing.json"),
+    ("nonduality", "--epsilon", "0.3"),
+    ("noninterpolation", "--epsilon", "0.3"),
+    ("dichotomy", "--epsilon", "0.3"),
+    ("nonduality", "--density", "3"),
+    ("noninterpolation", "--density", "3"),
+    ("dichotomy", "--density", "3"),
+])
+def test_experiment_refuses_flags_its_pipeline_does_not_read(files, capsys, name, flag, value):
+    # --values is read by dichotomy alone, --epsilon and --density by sublevel
+    # alone; elsewhere they exit 2 with the reason, before the pipeline runs or
+    # any --values file is opened (missing.json does not exist)
+    tmp_path, _, wpath, _, _ = files
+    out = tmp_path / "exp.json"
+    value = wpath if value == "VALUES" else value
+    with pytest.raises(SystemExit) as info:
+        main(["--grid-log2", "8", "experiment", "--name", name, "--radial-q", "0.6", "--n", "4",
+              flag, value, "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    owner = "dichotomy" if flag == "--values" else "sublevel"
+    assert f"argument {flag}: not allowed with --name {name} (only {owner} reads it)" in err
+    assert not out.exists()
+
+
+def test_experiment_sublevel_defaults_are_the_library_defaults(tmp_path):
+    # without --epsilon and --density the CLI passes neither, so exp_sublevel's
+    # eps = 0.5 and n_radial = 48 give the output
+    out = tmp_path / "sub.json"
+    assert main(_sublevel_argv(10, 6, out)) == 0
+    data = json.loads(out.read_text())
+    zeros = generate_sequence("rotated_radial", q=0.7, n=6, angle_step=0.37)
+    kernel = InterpolantRepresentation(zeros, np.full(6, 1.0 / 6), "kernel_basis")
+    expect = exp_sublevel(zeros, kernel.sample(BoundaryGrid(10))).to_dict()
+    assert data["parameters"] == expect["parameters"]
+    assert (data["parameters"]["eps"], data["parameters"]["n_radial"]) == (0.5, 48)
+    assert data["series"] == expect["series"]
 
 
 def _run_python(*args):

@@ -60,6 +60,19 @@ def test_separated_impossible_request():
         generate_sequence("separated", c=50.0, s=0.49, n=64)
 
 
+@pytest.mark.parametrize("c, s, capacity", [
+    (0.5, 0.3, 530), (1.0, 0.3, 265), (0.5, 0.1, 43), (2.0, 0.2, 38), (1.0, 0.05, 12),
+])
+def test_separated_capacity(c, s, capacity):
+    # the docstring's rule: the deepest band d = 2**-18 (2**-19 for n <= 20) fits
+    # n up to pi / arcsin(c d**s / 2) points
+    depth = 19 if math.pi / math.asin(c * 2.0 ** (-19 * s) / 2) <= 20 else 18
+    assert capacity == math.floor(math.pi / math.asin(c * 2.0 ** (-depth * s) / 2))
+    assert len(generate_sequence("separated", c=c, s=s, n=capacity)) == capacity
+    with pytest.raises(ValueError, match=f"separation condition for {capacity + 1} points"):
+        generate_sequence("separated", c=c, s=s, n=capacity + 1)
+
+
 def test_explicit_single_point():
     zeros = ZeroSequence([0])
     assert len(zeros) == 1

@@ -203,3 +203,37 @@ def test_one_function_states_the_pairing_rule():
         for name, node in _functions(tree):
             owners += [f"{path.stem}.{name}"] * count(node)
     assert owners == ["core._require_paired"] and total == 1
+
+
+def _is_chunk_step(node):
+    # max(1, a // b): the step a chunked loop takes through its rows
+    return (isinstance(node, ast.Call) and _callee(node) == "max" and len(node.args) == 2
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1
+            and isinstance(node.args[1], ast.BinOp) and isinstance(node.args[1].op, ast.FloorDiv))
+
+
+def test_core_alone_sets_the_working_set_budget():
+    # core holds CHUNK_ENTRIES and _chunks, the one rule that splits a large
+    # temporary into chunks; no other src/ module computes a chunk step, and a
+    # name that another module steps a loop by (range's third argument) is
+    # bound from CHUNK_ENTRIES, as blaschke.POINT_BLOCK is
+    package = ROOT / "src" / "modelspace"
+    core = ast.parse((package / "core.py").read_text(encoding="utf-8"))
+    assert {"CHUNK_ENTRIES", "_chunks"} <= _defined_names(package / "core.py")
+    assert sum(map(_is_chunk_step, ast.walk(core))) == 1
+    bound_from_budget = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(map(_is_chunk_step, ast.walk(tree))), path.name
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _mentions(node.value, "CHUNK_ENTRIES"):
+                bound_from_budget |= _node_names(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) == "range" and len(node.args) == 3:
+                step = node.args[2]
+                literal = isinstance(step, ast.Constant) and step.value <= 2
+                assert literal or (isinstance(step, ast.Name) and step.id in bound_from_budget), (
+                    path.name, ast.unparse(step))
+    assert bound_from_budget == {"POINT_BLOCK"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import modelspace.core
 import modelspace.experiments
 from conftest import division_form_bmo, mp_rung_derivatives, random_zero_sequence
 from modelspace import blaschke, boundary
@@ -347,7 +348,7 @@ def test_dichotomy_chunked_grid_matches_per_rung(case, rng, monkeypatch):
         zeros = random_zero_sequence(rng, 10)
         values, m = ValueSequence(rng.normal(size=10) + 1j * rng.normal(size=10)), 10
     entries = 3000
-    monkeypatch.setattr(modelspace.experiments, "_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(modelspace.core, "CHUNK_ENTRIES", entries)
     step = entries // len(zeros)  # 250 or 300 nodes per chunk
     assert 2 * step < 2**m and 2**m % step != 0  # several chunks, the last one short
     got = np.array(_series(exp_dichotomy(zeros, values, m=m), "interpolant_sup"))

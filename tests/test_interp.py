@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modelspace.blaschke
+import modelspace.core
 import modelspace.interp
 from conftest import kernel_combination, mp_rung_derivatives, random_zero_sequence, transient_peak
 from modelspace import (
@@ -150,7 +151,7 @@ def test_cauchy_eval_matches_horner_block_shapes(m, rng, monkeypatch):
     f, pts = _analytic(m, m), _disk_points(rng, 200)
     _assert_matches_horner(f, pts)
     # chunks of 80 (m = 4) or 5 (m = 13) of the 212 points, the last one short
-    monkeypatch.setattr(modelspace.interp, "_TABLE_ENTRIES", 320)
+    monkeypatch.setattr(modelspace.core, "CHUNK_ENTRIES", 320)
     _assert_matches_horner(f, pts)
 
 
