@@ -135,23 +135,31 @@ def eval_product(product: BlaschkeProduct, z):
     return _at_points(lambda flat: _lagrange_ladder(points, [], flat, rungs)[0], z)
 
 
-def _rung_derivatives(zeros: ZeroSequence) -> np.ndarray:
+def _rung_derivatives(zeros: ZeroSequence, last: bool = False) -> np.ndarray:
     # D[j, n - 1] = B_n'(z_j) for every rung n > j (below the diagonal: B_n(z_j)),
     # the running product along row j of fac[j, k] = b_k(z_j), whose diagonal
-    # holds b_j'(z_j): the closed form of the product rule
+    # holds b_j'(z_j): the closed form of the product rule.  fac is built in
+    # core._chunks blocks of rows; with last, only the column of B is kept
     pts = zeros.points
-    num = pts[None, :] - pts[:, None]
-    den = 1.0 - np.conj(pts)[None, :] * pts[:, None]
     units = np.array([_unit(zj) for zj in pts])
-    fac = units[None, :] * num / den
     own = np.array([-_unit(zj) / (1.0 - abs(zj) ** 2) for zj in pts])
-    np.fill_diagonal(fac, own)
-    return np.cumprod(fac, axis=1)
+    conj = np.conj(pts)
+    out = np.empty(pts.size if last else (pts.size, pts.size), dtype=complex)
+    for rows in _chunks(pts.size, pts.size):
+        z, j = pts[rows, None], np.arange(pts.size)[rows]
+        fac, den = np.subtract(pts, z), np.multiply(conj, z)
+        np.multiply(units, fac, out=fac)
+        fac /= np.subtract(1.0, den, out=den)
+        fac[j - rows.start, j] = own[rows]
+        np.cumprod(fac, axis=1, out=fac)
+        out[rows] = fac[:, -1] if last else fac
+        del fac, den  # the next block's two buffers replace these, not join them
+    return out
 
 
 def all_derivatives(product: BlaschkeProduct) -> np.ndarray:
-    """B'(z_j) for every zero: the last rung of _rung_derivatives."""
-    return _rung_derivatives(product.zeros)[:, -1]
+    """B'(z_j) for every zero: the last rung of _rung_derivatives, no n x n array."""
+    return _rung_derivatives(product.zeros, last=True)
 
 
 def interpolation_delta(product: BlaschkeProduct) -> float:

@@ -2,8 +2,8 @@
 
 Functions live on a power-of-two grid of circle nodes and carry their
 discrete Fourier spectrum, normalized so that coefficient 0 is the mean
-of the samples.  Mode-based operators (Riesz projections, multipliers)
-act on the spectrum; pointwise operators (products, the
+of the samples.  Riesz projections mask the plain DFT (the grid phase is
+diagonal); pointwise operators (products, the
 tilde involution) act on samples.  Grids may be offset by half a node
 spacing, which keeps sampled functions with a singularity at angle 0
 finite; the spectrum is phase-corrected so coefficients always mean the
@@ -59,14 +59,18 @@ def _twiddles(size: int) -> np.ndarray:
     return w
 
 
-def _fft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    # unnormalised DFT of x (exp(+2 pi i j k / M) if inverse) in a new array, by
-    # radix-2 steps above _FFT_LEAF: np.fft frees 4 MB of 2^17-point scratch per call
+def _fft(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    # unnormalised DFT of x (exp(+2 pi i j k / M) if inverse) in out (may be x) or a new
+    # array, by radix-2 steps above _FFT_LEAF: np.fft frees 4 MB of 2^17-point scratch per call
     if x.size <= _FFT_LEAF:
-        return np.fft.ifft(x, norm="forward") if inverse else np.fft.fft(x)
+        return np.fft.ifft(x, norm="forward", out=out) if inverse else np.fft.fft(x, out=out)
     even, odd = _fft(x[0::2], inverse), _fft(x[1::2], inverse)
-    odd *= np.conj(_twiddles(x.size)) if inverse else _twiddles(x.size)
-    out = np.empty(x.size, dtype=complex)
+    if inverse:  # odd * conj(w) as conj(conj(odd) w), in place: the same bits, no table
+        np.conjugate(odd, out=odd)
+    odd *= _twiddles(x.size)
+    if inverse:
+        np.conjugate(odd, out=odd)
+    out = np.empty(x.size, dtype=complex) if out is None else out
     np.add(even, odd, out=out[: even.size])
     np.subtract(even, odd, out=out[even.size :])
     return out
@@ -111,8 +115,8 @@ class BoundaryFunction:
     spectrum[i] is the coefficient of mode grid.modes[i]; its synthesis gives
     the samples to machine precision.  .spectrum and coefficient() compute it
     on first read and cache it, read-only.  H2 checks and single-use readers
-    (h2_defect, membership_defect, riesz_project, cauchy_eval) take the cached
-    one if any, else a fresh one they drop.  Pointwise work pays no FFT.
+    (h2_defect, membership_defect, cauchy_eval) take the cached one if any,
+    else a fresh one they drop.  Pointwise work pays no FFT.
     """
 
     grid: BoundaryGrid
@@ -128,8 +132,8 @@ class BoundaryFunction:
     def _read_spectrum(self) -> np.ndarray:  # the cached spectrum, else a fresh one
         spec = vars(self).get("spectrum")
         if spec is None:
-            spec = _fft(self.samples)
-            spec /= self.grid.size
+            spec = _fft(self.samples)  # / M on the float view: numpy divides by M + 0j
+            np.multiply(spec.view(float), 1.0 / self.grid.size, out=spec.view(float))
             spec *= self.grid._phase
             spec.setflags(write=False)
         return spec
@@ -189,14 +193,15 @@ def lp_norm(f: BoundaryFunction, p: float) -> float:
 def riesz_project(f: BoundaryFunction, sign: str) -> BoundaryFunction:
     """Mode truncation: '+' keeps modes n >= 0, '-' keeps modes n <= -1.
 
-    In FFT order modes 0 .. M/2 - 1 are the first half of the spectrum.
+    The grid phase is diagonal and commutes with the mask, so the plain DFT (modes
+    0 .. M/2 - 1 first) is masked, scaled by the exact 2^-m and inverted in place.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    half = slice(None, f.grid.size // 2) if sign == "+" else slice(f.grid.size // 2, None)
-    spec = np.zeros(f.grid.size, dtype=complex)
-    np.divide(f._read_spectrum()[half], f.grid._phase[half], out=spec[half])  # from_spectrum's step
-    return BoundaryFunction(f.grid, _fft(spec, inverse=True))
+    spec, h = _fft(f.samples), f.grid.size // 2
+    spec[slice(h, None) if sign == "+" else slice(h)] = 0.0
+    np.multiply(spec.view(float), 1.0 / f.grid.size, out=spec.view(float))
+    return BoundaryFunction(f.grid, _fft(spec, inverse=True, out=spec))
 
 
 def _spectrum_defect(spec: np.ndarray) -> float:  # h2_defect of an FFT-order spectrum
@@ -222,7 +227,9 @@ def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> np.n
 
 
 def _require_unimodular(theta: BoundaryFunction) -> None:
-    dev = float(np.max(np.abs(np.abs(theta.samples) - 1.0)))
+    dev = np.abs(theta.samples)
+    dev -= 1.0
+    dev = float(np.max(np.abs(dev, out=dev)))
     if not dev <= UNIMODULAR_TOL:  # NaN fails this too
         raise ValueError(f"theta is not unimodular on the grid (deviation {dev:.3e})")
 
@@ -232,7 +239,9 @@ def tilde(theta: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
     _require_unimodular(theta)
     if theta.grid != f.grid:
         raise ValueError("theta and f live on different grids")
-    samples = np.conj(f.grid.nodes) * np.conj(f.samples) * theta.samples
+    samples = np.multiply(f.grid.nodes, f.samples)  # conj(z) conj(f) is conj(z f) bit for bit
+    np.conjugate(samples, out=samples)
+    samples *= theta.samples
     return BoundaryFunction(f.grid, samples)
 
 

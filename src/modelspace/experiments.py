@@ -95,7 +95,6 @@ def _log_parts(m: int):
     # of exponent m, and phi = P_+ log(1 - z)
     grid = BoundaryGrid(m, offset=0.5)
     raw = BoundaryFunction(grid, np.log(1.0 - grid.nodes))
-    raw.spectrum  # cached: both reads below take it
     phi = riesz_project(raw, "+")
     phi.spectrum  # cached on the shared phi, whose readers then make no transform
     return h2_defect(raw), phi

@@ -18,7 +18,15 @@ from modelspace import (
     interpolation_delta,
     sublevel_indicator,
 )
-from modelspace.blaschke import GOLDEN_ITERS, POINT_BLOCK, _lagrange_ladder, _rung_derivatives
+from modelspace import core
+from modelspace.blaschke import (
+    GOLDEN_ITERS,
+    POINT_BLOCK,
+    _lagrange_ladder,
+    _rung_derivatives,
+    _unit,
+)
+from modelspace.core import CHUNK_ENTRIES
 from modelspace.experiments import _truncation_ladder
 
 
@@ -173,6 +181,39 @@ def test_rung_derivatives_match_mpmath(case, rng):
             want = complex(expected[j][n - 1])
             err = abs(derivatives[j, n - 1] - want) / abs(want)
             assert err <= 4.0 * np.finfo(float).eps * cond[j, n - 1], (n, j, err)
+
+
+def _whole_matrix_derivatives(pts):
+    # the n x n route: every factor at once, then one running product per row
+    num = pts[None, :] - pts[:, None]
+    den = 1.0 - np.conj(pts)[None, :] * pts[:, None]
+    units = np.array([_unit(zj) for zj in pts])
+    fac = units[None, :] * num / den
+    np.fill_diagonal(fac, [-_unit(zj) / (1.0 - abs(zj) ** 2) for zj in pts])
+    return np.cumprod(fac, axis=1)
+
+
+@pytest.mark.parametrize("entries", [1000, CHUNK_ENTRIES])
+@pytest.mark.parametrize("n", [1, 2, 12, 60, 200])
+def test_row_blocks_give_the_whole_matrix_bits(n, entries, monkeypatch, rng):
+    # 1000 entries cut 200 zeros into blocks of 5 rows; n = 2 is where np.prod
+    # and the running product round apart, so the blocks keep the running product
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", entries)
+    zeros = random_zero_sequence(rng, n, min_separation=0.05) if n > 2 else generate_sequence(
+        "rotated_radial", q=0.6, n=n, angle_step=0.3)
+    expected = _whole_matrix_derivatives(zeros.points)
+    assert _rung_derivatives(zeros).tobytes() == expected.tobytes()
+    assert all_derivatives(BlaschkeProduct(zeros)).tobytes() == expected[:, -1].tobytes()
+
+
+def test_interpolation_delta_holds_two_row_blocks(rng):
+    # 2,000 zeros: a block of factors and its denominators, each one chunk,
+    # plus the length-n vectors (the n x n route peaked at 244 MiB)
+    r = np.sqrt(rng.uniform(0.0, 0.95**2, 2000))
+    product = BlaschkeProduct(ZeroSequence(r * np.exp(2j * np.pi * rng.uniform(size=2000))))
+    interpolation_delta(product)
+    peak = transient_peak(lambda: interpolation_delta(product))
+    assert peak <= 2 * 16 * CHUNK_ENTRIES + (512 << 10)
 
 
 def test_derivative_matches_finite_differences(rng):

@@ -956,7 +956,6 @@ def _single_use_readers(f, theta):
         "membership_defect": (lambda: membership_defect(f, "K2", theta), 1),
         "cauchy_eval": (lambda: cauchy_eval(f, [0.0, 0.5j, -0.9]), 0),
         "polar_lattice": (lambda: _polar_lattice_eval(f, np.array([0.5, 0.9]), 16, DEFECT_TOL), 0),
-        "riesz_project": (lambda: riesz_project(f, "-"), 1),
         "model_project": (lambda: model_project(theta, f), 2),
     }
 
@@ -993,7 +992,8 @@ def test_single_use_readers_reuse_a_cached_spectrum(monkeypatch, rng):
     transforms = []
     fft = boundary._fft
     monkeypatch.setattr(
-        boundary, "_fft", lambda x, inverse=False: transforms.append(x) or fft(x, inverse)
+        boundary, "_fft",
+        lambda x, inverse=False, out=None: transforms.append(x) or fft(x, inverse, out),
     )
     for name, (read, count) in readers.items():
         transforms.clear()
@@ -1003,10 +1003,111 @@ def test_single_use_readers_reuse_a_cached_spectrum(monkeypatch, rng):
     assert f.spectrum is spec
 
 
+def _phase_round_trip_riesz(f, sign):
+    # the earlier route: the phase-corrected spectrum, its kept half divided by
+    # the grid phase into a zeroed spectrum, then one inverse transform
+    M, phase = f.grid.size, f.grid._phase
+    spec = boundary._fft(f.samples)
+    spec /= M
+    spec *= phase
+    kept = slice(None, M // 2) if sign == "+" else slice(M // 2, None)
+    out = np.zeros(M, dtype=complex)
+    np.divide(spec[kept], phase[kept], out=out[kept])
+    return boundary._fft(out, inverse=True)
+
+
+def _riesz_inputs(rng, grid):
+    theta = BlaschkeProduct(ZeroSequence([0.5, -0.3j, 0.2 + 0.6j])).sample(grid)
+    return [
+        BoundaryFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)),
+        theta + BoundaryFunction(grid, np.conj(grid.nodes) ** 3),
+        *([BoundaryFunction(grid, np.log(1.0 - grid.nodes))] if grid.offset else []),
+    ]
+
+
+@pytest.mark.parametrize("m", [4, 12, 16])
+def test_riesz_project_on_plain_grids_is_the_phase_round_trip(m, rng):
+    # the plain grid's phase is exactly 1 and 2^-m scales exactly
+    grid = BoundaryGrid(m)
+    for f in _riesz_inputs(rng, grid):
+        for sign in "+-":
+            assert np.array_equal(riesz_project(f, sign).samples, _phase_round_trip_riesz(f, sign))
+
+
+@pytest.mark.parametrize("m", [4, 12, 17, 18])
+def test_riesz_project_on_half_offset_grids_near_the_phase_round_trip(m, rng):
+    # the round trip's phase multiply and divide round, the plain DFT's mask
+    # does not: at most 1.8 eps max|f| measured at m = 4 .. 18
+    grid = BoundaryGrid(m, 0.5)
+    eps = np.finfo(float).eps
+    for f in _riesz_inputs(rng, grid):
+        top = np.max(np.abs(f.samples))
+        for sign in "+-":
+            gap = np.abs(riesz_project(f, sign).samples - _phase_round_trip_riesz(f, sign))
+            assert np.max(gap) <= 8 * eps * top
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_riesz_project_makes_two_transforms_and_reads_no_spectrum(cached, monkeypatch, rng):
+    # a forward and an inverse transform of the samples, with or without a
+    # cached spectrum, and no read of the spectrum or of the grid phase
+    grid = BoundaryGrid(10, 0.5)
+    f = _random_bandlimited(rng, grid)
+    expected = {sign: _bits(riesz_project(f, sign)) for sign in "+-"}
+    spec = f.spectrum if cached else None
+    object.__setattr__(grid, "_phase", None)  # this grid object only
+    monkeypatch.setattr(BoundaryFunction, "_read_spectrum", lambda self: pytest.fail("read"))
+    transforms = []
+    fft = boundary._fft
+    monkeypatch.setattr(
+        boundary, "_fft",
+        lambda x, inverse=False, out=None: transforms.append(inverse) or fft(x, inverse, out),
+    )
+    for sign in "+-":
+        transforms.clear()
+        assert _bits(riesz_project(f, sign)) == expected[sign]
+        assert transforms == [False, True]
+    assert vars(f).get("spectrum") is spec
+
+
+@pytest.mark.parametrize("m, offset", [(4, 0.0), (12, 0.5), (17, 0.0), (17, 0.5)])
+def test_spectrum_scale_has_the_bits_of_the_complex_division(m, offset, rng):
+    # 1/M on the float view gives the bits of spec /= M, which numpy runs as
+    # a complex quotient by M + 0j, so the H2 checks read the same spectrum
+    grid = _grid(m, offset)
+    for f in _riesz_inputs(rng, grid):
+        spec = boundary._fft(f.samples)
+        spec /= grid.size
+        spec *= grid._phase
+        assert _bits(f._read_spectrum()) == _bits(spec)
+        assert h2_defect(f) == boundary._spectrum_defect(spec)
+
+
+@pytest.mark.parametrize("m, offset", [(4, 0.0), (12, 0.5), (17, 0.5)])
+def test_tilde_bit_identical_to_the_three_array_product(m, offset, rng):
+    # conj(z f) theta in one buffer: conj(a) conj(b) is conj(a b) bit for bit
+    grid = _grid(m, offset)
+    theta = BlaschkeProduct(ZeroSequence([0.5, -0.3j])).sample(grid)
+    for f in _riesz_inputs(rng, grid):
+        expected = np.conj(grid.nodes) * np.conj(f.samples) * theta.samples
+        assert _bits(tilde(theta, f)) == _bits(expected)
+
+
+def test_tilde_allocates_its_result_alone():
+    # m = 17: the result is tilde's one 2 MiB array; the unimodularity check's
+    # M-float deviation is freed before it is built
+    zeros = ZeroSequence([0.5, -0.3j, 0.2 + 0.6j])
+    grid = BoundaryGrid(17)
+    theta = BlaschkeProduct(zeros).sample(grid)
+    f = InterpolantRepresentation(zeros, np.ones(3), "kernel_basis").sample(grid)
+    tilde(theta, f)  # builds the shared tables
+    assert transient_peak(lambda: tilde(theta, f)) <= (2 << 20) + (64 << 10)
+
+
 def test_k2_check_keeps_no_spectrum_memory():
     # m = 17, f and theta held by the caller: the check's transient peak is
-    # three sample-sized arrays (tilde's temporaries, or its result with the
-    # transform's halves and output), and it leaves nothing behind
+    # three sample-sized arrays (tilde's result with the transform's halves
+    # and output), and it leaves nothing behind
     zeros = ZeroSequence([0.5, -0.3j, 0.2 + 0.6j])
     grid = BoundaryGrid(17)
     theta = BlaschkeProduct(zeros).sample(grid)

@@ -336,7 +336,8 @@ def test_projection_decay_report_transform_count(monkeypatch, rng, kind, params,
     calls = []
     fft = boundary._fft
     monkeypatch.setattr(
-        boundary, "_fft", lambda x, inverse=False: calls.append(inverse) or fft(x, inverse)
+        boundary, "_fft",
+        lambda x, inverse=False, out=None: calls.append(inverse) or fft(x, inverse, out),
     )
     projection_decay_report(product, f, SmoothnessDescriptor(kind, **params))
     assert len(calls) == count

@@ -572,7 +572,8 @@ def test_log_samples_readers_make_no_transform_of_it(monkeypatch):
     transforms = []
     fft = boundary._fft
     monkeypatch.setattr(
-        boundary, "_fft", lambda x, inverse=False: transforms.append(x) or fft(x, inverse)
+        boundary, "_fft",
+        lambda x, inverse=False, out=None: transforms.append(x) or fft(x, inverse, out),
     )
     model_project(theta, log_samples(grid))
     cauchy_eval(log_samples(grid), [0.0, 0.5j])

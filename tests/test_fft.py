@@ -41,6 +41,26 @@ def test_fft_within_tolerance_of_np_fft_above_the_leaf(rng, m):
     assert np.array_equal(x, kept)
 
 
+def _table_fft(x, inverse=False):
+    # the radix-2 route with a conjugated twiddle table for the inverse steps
+    if x.size <= _FFT_LEAF:
+        return np.fft.ifft(x, norm="forward") if inverse else np.fft.fft(x)
+    even, odd = _table_fft(x[0::2], inverse), _table_fft(x[1::2], inverse)
+    odd *= np.conj(_twiddles(x.size)) if inverse else _twiddles(x.size)
+    out = np.empty(x.size, dtype=complex)
+    np.add(even, odd, out=out[: even.size])
+    np.subtract(even, odd, out=out[even.size :])
+    return out
+
+
+@pytest.mark.parametrize("m", [17, 18, 19])
+def test_inverse_steps_match_a_conjugated_twiddle_table(rng, m):
+    # odd * conj(w) taken as conj(conj(odd) w) in place gives the table's bits
+    x = _signal(rng, 1 << m)
+    for inverse in (False, True):
+        assert _fft(x, inverse).tobytes() == _table_fft(x, inverse).tobytes()
+
+
 def test_fft_matches_direct_sums_at_sampled_modes(rng):
     # X_k = sum_j x_j exp(-2 pi i j k / M), each sum in math.fsum over twiddles
     # from the exact residue j k mod M, taken in (-M/2, M/2] to keep angles small;
