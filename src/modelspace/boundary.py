@@ -9,6 +9,9 @@ spacing, which keeps sampled functions with a singularity at angle 0
 finite; the spectrum is phase-corrected so coefficients always mean the
 same thing regardless of offset.  Transforms of up to 2^16 points are np.fft's;
 larger ones take radix-2 steps down to 2^16, within 4e-15 max|X| of np.fft.
+H2 and K2 defects read the transform's halves; above 2^16 points these are
+E + W O and E - W O, taken in place from the radix-2 parts E and W O, and
+no M-point spectrum is built.
 """
 
 from __future__ import annotations
@@ -115,8 +118,8 @@ class BoundaryFunction:
     spectrum[i] is the coefficient of mode grid.modes[i]; its synthesis gives
     the samples to machine precision.  .spectrum and coefficient() compute it
     on first read and cache it, read-only.  H2 checks and single-use readers
-    (h2_defect, membership_defect, cauchy_eval) take the cached one if any,
-    else a fresh one they drop.  Pointwise work pays no FFT.
+    (h2_defect, membership_defect, cauchy_eval) read the cached one if any,
+    else a fresh transform they drop.  Pointwise work pays no FFT.
     """
 
     grid: BoundaryGrid
@@ -129,13 +132,11 @@ class BoundaryFunction:
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
-    def _read_spectrum(self) -> np.ndarray:  # the cached spectrum, else a fresh one
-        spec = vars(self).get("spectrum")
-        if spec is None:
-            spec = _fft(self.samples)  # / M on the float view: numpy divides by M + 0j
-            np.multiply(spec.view(float), 1.0 / self.grid.size, out=spec.view(float))
-            spec *= self.grid._phase
-            spec.setflags(write=False)
+    def _read_spectrum(self) -> np.ndarray:  # a fresh spectrum, read-only
+        spec = _fft(self.samples)  # / M on the float view: numpy divides by M + 0j
+        np.multiply(spec.view(float), 1.0 / self.grid.size, out=spec.view(float))
+        spec *= self.grid._phase
+        spec.setflags(write=False)
         return spec
 
     spectrum = cached_property(_read_spectrum)
@@ -204,26 +205,73 @@ def riesz_project(f: BoundaryFunction, sign: str) -> BoundaryFunction:
     return BoundaryFunction(f.grid, _fft(spec, inverse=True, out=spec))
 
 
-def _spectrum_defect(spec: np.ndarray) -> float:  # h2_defect of an FFT-order spectrum
-    power = np.abs(spec)
-    np.square(power, out=power)
-    total = float(np.sum(power))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(power[spec.size // 2 :])) / total  # modes -M/2 .. -1
+def _transform_halves(sample, size: int):
+    # the DFT of the samples that sample(nodes) builds fresh, as its halves (modes
+    # >= 0, modes < 0); above _FFT_LEAF each half of the samples is transformed in
+    # place and the radix-2 step even +- W o odd is taken in place, chunk by chunk
+    if size <= _FFT_LEAF:
+        spec = sample(slice(None))
+        _fft(spec, out=spec)
+        return spec[: size // 2], spec[size // 2 :]
+    even, odd = sample(slice(0, None, 2)), sample(slice(1, None, 2))
+    _fft(even, out=even)
+    _fft(odd, out=odd)
+    odd *= _twiddles(size)
+    for rows in _chunks(odd.size, 32):
+        w_odd = odd[rows].copy()
+        np.subtract(even[rows], w_odd, out=odd[rows])
+        even[rows] += w_odd
+        del w_odd  # one chunk lives at a time
+    return even, odd
+
+
+def _halves(f: BoundaryFunction):  # f's cached spectrum as its halves, else fresh ones
+    spec = vars(f).get("spectrum")
+    if spec is not None:
+        return spec[: spec.size // 2], spec[spec.size // 2 :]
+    return _transform_halves(lambda nodes: f.samples[nodes].copy(), f.grid.size)
+
+
+def _defect(lo: np.ndarray, hi: np.ndarray) -> float:
+    # share of hi in the energy of lo and hi, summed over |x| 2^-e, e the exponent
+    # of the largest part, so the same at every power-of-two amplitude; chunk sums
+    # add pairwise, so on a spectrum's halves they have np.sum's bits
+    e = math.frexp(max(max(v.max(), -v.min()) for v in (lo.view(float), hi.view(float))))[1]
+    scale = math.ldexp(1.0, -max(e, -1022))  # exact
+
+    def power_sum(x):  # sum of (|x| 2^-e)^2
+        power = np.abs(x)
+        power *= scale
+        return float(np.square(power, out=power).sum())
+
+    def energy(half):  # one chunk lives at a time
+        sums = [power_sum(half[rows]) for rows in _chunks(half.size, 16)]
+        while len(sums) > 1:
+            sums = [sum(sums[i : i + 2]) for i in range(0, len(sums), 2)]
+        return sums[0]
+
+    neg = energy(hi)
+    total = energy(lo) + neg
+    return neg / total if total else 0.0
 
 
 def h2_defect(f: BoundaryFunction) -> float:
     """Fraction of spectral energy sitting in negative modes."""
-    return _spectrum_defect(f._read_spectrum())
+    return _defect(*_halves(f))
 
 
 def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> np.ndarray:
-    spec = f._read_spectrum()
-    d = _spectrum_defect(spec)
+    # spectrum[: M/2], bit for bit, for the caller's series, if f passes
+    lo, hi = _halves(f)
+    d = _defect(lo, hi)
     if not d <= tol:  # NaN fails this too
         raise ValueError(f"{what} is not in H2 at tolerance {tol:g} (defect {d:.3e})")
-    return spec  # the spectrum it checked, for the caller's series
+    if "spectrum" in vars(f):
+        return lo
+    np.multiply(lo.view(float), 1.0 / f.grid.size, out=lo.view(float))
+    lo *= f.grid._phase[: lo.size]
+    lo.setflags(write=False)
+    return lo
 
 
 def _require_unimodular(theta: BoundaryFunction) -> None:
@@ -234,15 +282,24 @@ def _require_unimodular(theta: BoundaryFunction) -> None:
         raise ValueError(f"theta is not unimodular on the grid (deviation {dev:.3e})")
 
 
-def tilde(theta: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
-    """Antilinear involution f -> conj(z) conj(f) theta on the samples."""
+def _require_tilde_operands(theta: BoundaryFunction, f: BoundaryFunction) -> None:
     _require_unimodular(theta)
     if theta.grid != f.grid:
         raise ValueError("theta and f live on different grids")
-    samples = np.multiply(f.grid.nodes, f.samples)  # conj(z) conj(f) is conj(z f) bit for bit
+
+
+def _tilde_samples(theta: BoundaryFunction, f: BoundaryFunction, nodes: slice) -> np.ndarray:
+    # conj(z) conj(f) is conj(z f) bit for bit
+    samples = np.multiply(f.grid.nodes[nodes], f.samples[nodes])
     np.conjugate(samples, out=samples)
-    samples *= theta.samples
-    return BoundaryFunction(f.grid, samples)
+    samples *= theta.samples[nodes]
+    return samples
+
+
+def tilde(theta: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
+    """Antilinear involution f -> conj(z) conj(f) theta on the samples."""
+    _require_tilde_operands(theta, f)
+    return BoundaryFunction(f.grid, _tilde_samples(theta, f, slice(None)))
 
 
 def model_project(theta: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
@@ -262,15 +319,19 @@ def membership_defect(
 ) -> float:
     """Relative-energy defect of membership in H2 or in K2 of theta.
 
-    For H2 this is the negative-mode energy fraction; for K2 it is the
-    larger of the H2 defects of f and of tilde(theta, f).
+    For H2 this is the negative-mode energy fraction; for K2, H2 intersected
+    with theta conj(z) conj(H2), the larger of the H2 defects of f and of
+    tilde(theta, f), which is built and transformed one half of the nodes at a time.
     """
     if space == "H2":
         return h2_defect(f)
     if space == "K2":
         if theta is None:
             raise ValueError("K2 membership needs theta")
-        return float(np.maximum(h2_defect(f), h2_defect(tilde(theta, f))))  # keeps NaN
+        _require_tilde_operands(theta, f)
+        d = h2_defect(f)
+        halves = _transform_halves(lambda nodes: _tilde_samples(theta, f, nodes), f.grid.size)
+        return float(np.maximum(d, _defect(*halves)))  # keeps NaN
     raise ValueError(f"unknown space {space!r}")
 
 

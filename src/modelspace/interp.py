@@ -52,9 +52,9 @@ def cauchy_eval(f: BoundaryFunction, z, tol: float = DEFECT_TOL):
     rounding, or NaN, as for every evaluator), where the truncated series is
     meaningless and its powers overflow.
     """
-    spec = _require_h2(f, "cauchy_eval input", tol)  # kept by f only if f had cached it
+    spec = _require_h2(f, "cauchy_eval input", tol)  # modes 0 .. M/2 - 1
     K = 1 << ((f.grid.m - 1) // 2)
-    blocks = spec[: f.grid.size // 2].reshape(-1, K).T  # [b, a] = c[a K + b]
+    blocks = spec.reshape(-1, K).T  # [b, a] = c[a K + b]
     G = blocks.shape[1]  # G >= K
 
     def series(flat):
@@ -75,9 +75,8 @@ def _polar_lattice_eval(f: BoundaryFunction, radii: np.ndarray, angles: int, tol
     # over a of r**a sum_b c[b angles + a] (r**angles)**b: one product with the
     # spectrum zero-padded to whole folds of `angles` modes, one FFT per circle
     spec = _require_h2(f, "cauchy_eval input", tol)
-    half = f.grid.size // 2
-    folded = np.zeros(-(-half // angles) * angles, dtype=complex)
-    folded[:half] = spec[:half]
+    folded = np.zeros(-(-spec.size // angles) * angles, dtype=complex)
+    folded[: spec.size] = spec
     folded = folded.reshape(-1, angles)
     r = radii[:, None]
     baby = _powers(r, angles)  # r**a
