@@ -7,7 +7,9 @@ diagonal); pointwise operators (products, the
 tilde involution) act on samples.  Grids may be offset by half a node
 spacing, which keeps sampled functions with a singularity at angle 0
 finite; the spectrum is phase-corrected so coefficients always mean the
-same thing regardless of offset.  Transforms of up to 2^16 points are np.fft's;
+same thing regardless of offset.  A grid keeps one table, its nodes: the
+half-offset phase and the radix-2 twiddles are read from the node tables of
+both offsets, bit for bit.  Transforms of up to 2^16 points are np.fft's;
 larger ones take radix-2 steps down to 2^16, within 4e-15 max|X| of np.fft.
 H2 and K2 defects read the transform's halves; above 2^16 points these are
 E + W O and E - W O, taken in place from the radix-2 parts E and W O, and
@@ -23,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import _chunks
+from .core import _chunks, _is_real
 
 DEFECT_TOL = 1e-8  # relative-energy threshold for "negligible" negative modes
 UNIMODULAR_TOL = 1e-8  # largest ||theta| - 1| accepted on the grid
@@ -31,18 +33,11 @@ _FFT_LEAF = 1 << 16  # largest transform handed to np.fft in one call
 
 
 @lru_cache(maxsize=8)
-def _grid_tables(m: int, offset: float):
-    # nodes and FFT phase of one (m, offset), built once and shared.  The plain
-    # grid's phase is exactly 1 at every mode, so it is a read-only stride-0
-    # view; the half-offset phase builds its modes locally and drops them
-    M = 1 << m
-    nodes = np.exp(2j * np.pi * (np.arange(M) + offset) / M)
+def _grid_tables(m: int, offset: float) -> np.ndarray:
+    # the nodes of one (m, offset), read-only, built once and shared
+    nodes = np.exp(2j * np.pi * (np.arange(1 << m) + offset) / (1 << m))
     nodes.setflags(write=False)
-    if not offset:
-        return nodes, np.broadcast_to(np.complex128(1.0), (M,))
-    phase = np.exp(-2j * np.pi * np.fft.fftfreq(M, 1.0 / M).astype(int) * offset / M)
-    phase.setflags(write=False)
-    return nodes, phase
+    return nodes
 
 
 @lru_cache(maxsize=8)
@@ -55,11 +50,54 @@ def _modes(m: int) -> np.ndarray:
     return modes
 
 
-@lru_cache(maxsize=8)
-def _twiddles(size: int) -> np.ndarray:
-    w = np.exp(-2j * np.pi * np.arange(size // 2) / size)  # read-only, shared
-    w.setflags(write=False)
-    return w
+def _rephase(spec: np.ndarray, grid: "BoundaryGrid", out: np.ndarray | None = None) -> None:
+    # spec *= phase in place, or out = spec / phase, on the first spec.size modes.  The FFT
+    # phase exp(-2 pi i k offset / M) is 1 on the plain grid, a stride-0 view; the half-offset
+    # one is read, bit for bit, from the plain and half-offset nodes p and q (Cooley-Tukey):
+    # conj(p[k/2]) at even k >= 0, conj(q[(k-1)/2]) at odd k, p[|k|/2] or q[(|k|-1)/2] at
+    # k < 0, but the formula's 1 + 0j at k = 0 (conj(p[0]) is 1 - 0j).  1,024 mode pairs
+    # at a time go through one buffer (np.positive copies bit for bit)
+    op, out = (np.multiply, spec) if out is None else (np.divide, out)
+    if not grid.offset:
+        op(spec, np.broadcast_to(np.complex128(1.0), spec.shape), out=out)
+        return
+    a, p, q = grid.size // 4, _grid_tables(grid.m, 0.0), grid.nodes
+    buf = np.empty((p[:a][next(_chunks(a, 64))].size, 2), dtype=complex)  # a chunk of pairs
+    halves = ((0, np.conjugate, p[:a], q[:a]), (2 * a, np.positive, p[a:0:-1], q[a - 1 :: -1]))
+    for at, fill, evens, odds in halves[: spec.size // (2 * a)]:  # modes >= 0, then < 0
+        for rows in _chunks(a, 64):
+            pair = buf[: evens[rows].size]
+            fill(evens[rows], out=pair[:, 0])
+            fill(odds[rows], out=pair[:, 1])
+            if not (at or rows.start):
+                pair[0, 0] = 1.0
+            modes = slice(at + 2 * rows.start, at + 2 * rows.start + pair.size)
+            op(spec[modes], pair.reshape(-1), out=out[modes])
+
+
+def _butterfly(even, odd, lo, hi, inverse: bool = False) -> None:
+    # the radix-2 step lo, hi = E + W o O, E - W o O of the transforms E and O of the even
+    # and odd samples (lo and hi may be even and odd), 2,048 modes at a time through one
+    # buffer.  W^k = exp(-2 pi i k / M) is conj(plain node k) of the M-point grid, bit for
+    # bit but for W^0 = 1 + 0j; the inverse step takes O conj(W) as conj(conj(O) W), the
+    # bits of a conjugated table.  Each product is O *= W in place, as numpy's complex
+    # multiply rounds by aliasing; W o O is then copied (np.positive: bit for bit) into the
+    # buffer, since hi may be odd
+    nodes = _grid_tables(odd.size.bit_length(), 0.0)
+    buf = np.empty_like(odd[next(_chunks(odd.size, 32))])
+    take = np.conjugate if inverse else np.positive
+    if inverse:
+        np.conjugate(odd, out=odd)
+    for rows in _chunks(odd.size, 32):
+        part = odd[rows]
+        w = buf[: part.size]
+        np.conjugate(nodes[rows.start : rows.start + w.size], out=w)
+        if not rows.start:
+            w[0] = 1.0
+        part *= w
+        take(part, out=w)
+        np.subtract(even[rows], w, out=hi[rows])
+        np.add(even[rows], w, out=lo[rows])
 
 
 def _fft(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
@@ -68,14 +106,8 @@ def _fft(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) ->
     if x.size <= _FFT_LEAF:
         return np.fft.ifft(x, norm="forward", out=out) if inverse else np.fft.fft(x, out=out)
     even, odd = _fft(x[0::2], inverse), _fft(x[1::2], inverse)
-    if inverse:  # odd * conj(w) as conj(conj(odd) w), in place: the same bits, no table
-        np.conjugate(odd, out=odd)
-    odd *= _twiddles(x.size)
-    if inverse:
-        np.conjugate(odd, out=odd)
     out = np.empty(x.size, dtype=complex) if out is None else out
-    np.add(even, odd, out=out[: even.size])
-    np.subtract(even, odd, out=out[even.size :])
+    _butterfly(even, odd, out[: even.size], out[even.size :], inverse)
     return out
 
 
@@ -84,23 +116,22 @@ class BoundaryGrid:
     """Uniform circle grid with 2**m nodes exp(2 pi i (t + offset) / M).
 
     Grids compare equal when m and offset agree, and equal grids share
-    one read-only set of node and phase tables, so building a grid a
-    second time costs no table work.  The plain grid's phase is a stride-0
-    view of 1, which keeps no table.  The mode table is built on its
-    first read and shared by both offsets of one m.
+    one read-only node table, so building a grid a second time costs no
+    table work.  The node table is the only table a grid keeps: the FFT
+    phase of a half-offset grid and the radix-2 twiddles are read from the
+    node tables of both offsets, bit for bit.  The mode table is built on
+    its first read and shared by both offsets of one m.
     """
 
     m: int
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.m < 4:
-            raise ValueError("grid exponent m must be at least 4")
-        if self.offset not in (0.0, 0.5):
-            raise ValueError("offset must be 0.0 or 0.5 (in node spacings)")
-        tables = _grid_tables(self.m, self.offset)
-        for name, arr in zip(("nodes", "_phase"), tables):
-            object.__setattr__(self, name, arr)
+        if not (_is_real(self.m) and isinstance(self.m, (int, np.integer))) or self.m < 4:
+            raise ValueError(f"grid exponent m must be an integer >= 4, got {self.m!r}")
+        if not _is_real(self.offset) or self.offset not in (0.0, 0.5):
+            raise ValueError(f"offset must be 0.0 or 0.5 (in node spacings), got {self.offset!r}")
+        object.__setattr__(self, "nodes", _grid_tables(self.m, self.offset))
 
     @property
     def size(self) -> int:
@@ -135,7 +166,7 @@ class BoundaryFunction:
     def _read_spectrum(self) -> np.ndarray:  # a fresh spectrum, read-only
         spec = _fft(self.samples)  # / M on the float view: numpy divides by M + 0j
         np.multiply(spec.view(float), 1.0 / self.grid.size, out=spec.view(float))
-        spec *= self.grid._phase
+        _rephase(spec, self.grid)
         spec.setflags(write=False)
         return spec
 
@@ -150,7 +181,9 @@ class BoundaryFunction:
         spec = np.asarray(spectrum, dtype=complex).reshape(-1)
         if spec.size != grid.size:
             raise ValueError("spectrum length does not match the grid size")
-        return cls(grid, _fft(spec / grid._phase, inverse=True))  # spec is left as it was
+        out = np.empty(grid.size, dtype=complex)  # spec is left as it was
+        _rephase(spec, grid, out)
+        return cls(grid, _fft(out, inverse=True, out=out))
 
     def coefficient(self, n: int) -> complex:
         M = self.grid.size
@@ -216,12 +249,7 @@ def _transform_halves(sample, size: int):
     even, odd = sample(slice(0, None, 2)), sample(slice(1, None, 2))
     _fft(even, out=even)
     _fft(odd, out=odd)
-    odd *= _twiddles(size)
-    for rows in _chunks(odd.size, 32):
-        w_odd = odd[rows].copy()
-        np.subtract(even[rows], w_odd, out=odd[rows])
-        even[rows] += w_odd
-        del w_odd  # one chunk lives at a time
+    _butterfly(even, odd, even, odd)
     return even, odd
 
 
@@ -269,7 +297,7 @@ def _require_h2(f: BoundaryFunction, what: str, tol: float = DEFECT_TOL) -> np.n
     if "spectrum" in vars(f):
         return lo
     np.multiply(lo.view(float), 1.0 / f.grid.size, out=lo.view(float))
-    lo *= f.grid._phase[: lo.size]
+    _rephase(lo, f.grid)
     lo.setflags(write=False)
     return lo
 

@@ -125,6 +125,20 @@ def spectrum_defect(spec: np.ndarray) -> float:
 DEFECT_RTOL = 8 * np.finfo(float).eps
 
 
+def formula_phase(grid) -> np.ndarray:
+    """The grid's FFT phase exp(-2 pi i k offset / M) at every mode k, in FFT
+    order, from its defining formula (1 + 0j at every mode of a plain grid)."""
+    M = grid.size
+    modes = np.fft.fftfreq(M, 1.0 / M).astype(int)
+    return np.exp(-2j * np.pi * modes * grid.offset / M)
+
+
+def formula_twiddles(size: int) -> np.ndarray:
+    """The twiddles exp(-2 pi i k / size), k < size / 2, of a radix-2 step of
+    size points, from their defining formula."""
+    return np.exp(-2j * np.pi * np.arange(size // 2) / size)
+
+
 def transient_peak(fn) -> int:
     """Bytes allocated at the peak of fn() beyond what was live when it started."""
     tracing = tracemalloc.is_tracing()

@@ -13,6 +13,7 @@ from conftest import (
     DEFECT_RTOL,
     arc_oscillation_divided,
     division_form_bmo,
+    formula_phase,
     kernel_combination,
     random_zero_sequence,
     rms_pruned_bmo,
@@ -74,6 +75,27 @@ def test_grid_validation():
     assert g.size == 16
     assert g.nodes[0] == pytest.approx(1.0)
     assert BoundaryGrid(4, offset=0.5).nodes[0] == pytest.approx(np.exp(2j * np.pi * 0.5 / 16))
+
+
+@pytest.mark.parametrize("m", [12.0, 12.5, "12", True, None, 12 + 0j, np.float64(12.0)])
+def test_grid_refuses_a_non_integer_exponent_by_name(m):
+    with pytest.raises(ValueError, match=r"grid exponent m must be an integer >= 4, got"):
+        BoundaryGrid(m)
+
+
+@pytest.mark.parametrize("offset", ["0.5", 0.5 + 0j, True, False, None, np.complex128(0.0)])
+def test_grid_refuses_a_non_real_offset_by_name(offset):
+    with pytest.raises(ValueError, match=r"offset must be 0.0 or 0.5 \(in node spacings\), got"):
+        BoundaryGrid(12, offset)
+
+
+def test_grid_takes_numpy_integers_and_reals():
+    # equal to the grid of the Python numbers, and sharing its node table
+    for m, offset in ((np.int64(12), 0.0), (np.int32(12), np.float64(0.5)), (12, 0)):
+        grid, plain = BoundaryGrid(m, offset), BoundaryGrid(12, float(offset))
+        assert grid == plain and hash(grid) == hash(plain)
+        assert grid.nodes is plain.nodes
+        assert grid.size == 4096
 
 
 def test_fourier_examples():
@@ -138,7 +160,7 @@ def test_spectrum_computed_on_first_read(offset, rng):
     for g in (f, theta, *derived):
         assert "spectrum" not in vars(g)
     spec = f.spectrum
-    expected = np.fft.fft(f.samples) / grid.size * grid._phase
+    expected = np.fft.fft(f.samples) / grid.size * formula_phase(grid)
     assert spec.tobytes() == expected.tobytes()
     assert f.spectrum is spec
     assert not spec.flags.writeable
@@ -1017,7 +1039,7 @@ def test_single_use_readers_reuse_a_cached_spectrum(monkeypatch, rng):
 def _phase_round_trip_riesz(f, sign):
     # the earlier route: the phase-corrected spectrum, its kept half divided by
     # the grid phase into a zeroed spectrum, then one inverse transform
-    M, phase = f.grid.size, f.grid._phase
+    M, phase = f.grid.size, formula_phase(f.grid)
     spec = boundary._fft(f.samples)
     spec /= M
     spec *= phase
@@ -1066,7 +1088,7 @@ def test_riesz_project_makes_two_transforms_and_reads_no_spectrum(cached, monkey
     f = _random_bandlimited(rng, grid)
     expected = {sign: _bits(riesz_project(f, sign)) for sign in "+-"}
     spec = f.spectrum if cached else None
-    object.__setattr__(grid, "_phase", None)  # this grid object only
+    monkeypatch.setattr(boundary, "_rephase", lambda *args: pytest.fail("phase"))
     monkeypatch.setattr(BoundaryFunction, "_read_spectrum", lambda self: pytest.fail("read"))
     transforms = []
     fft = boundary._fft
@@ -1091,7 +1113,7 @@ def test_spectrum_scale_has_the_bits_of_the_complex_division(m, offset, rng):
     for f in _riesz_inputs(rng, grid):
         spec = boundary._fft(f.samples)
         spec /= grid.size
-        spec *= grid._phase
+        spec *= formula_phase(grid)
         assert _bits(f._read_spectrum()) == _bits(spec)
         assert _bits(boundary._require_h2(f, "f", tol=1.0)) == _bits(spec[: grid.size // 2])
         assert h2_defect(f) == pytest.approx(spectrum_defect(spec), rel=DEFECT_RTOL, abs=0)

@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import formula_phase, transient_peak
 from modelspace import (
     BlaschkeProduct,
     BoundaryFunction,
@@ -147,11 +148,11 @@ def _streaming_grouped_lagrange(zeros, values, z):
 
 
 def _old_spectrum(f):
-    return np.fft.fft(f.samples) / f.grid.size * f.grid._phase
+    return np.fft.fft(f.samples) / f.grid.size * formula_phase(f.grid)
 
 
 def _old_from_spectrum(grid, spec):
-    return np.fft.ifft(spec / grid._phase * grid.size)
+    return np.fft.ifft(spec / formula_phase(grid) * grid.size)
 
 
 def _old_riesz(f, sign):
@@ -456,16 +457,15 @@ def test_from_spectrum_leaves_its_argument_unchanged(rng):
 
 
 def test_equal_grids_share_read_only_tables():
-    # nodes and phase are shared per (m, offset), modes per m by both offsets;
-    # the plain grid's phase is a stride-0 view of 1
+    # nodes are shared per (m, offset), modes per m by both offsets; a grid
+    # keeps its node table and nothing else
     a, b, c = BoundaryGrid(17), BoundaryGrid(17), BoundaryGrid(17, 0.5)
     assert a == b and a != c
-    for name in ("nodes", "_phase"):
-        assert getattr(a, name) is getattr(b, name)
-        assert getattr(a, name) is not getattr(c, name)
+    assert a.nodes is b.nodes and a.nodes is not c.nodes
     assert a.modes is b.modes is c.modes
-    assert a._phase.strides == (0,)
-    for arr in (a.nodes, a._phase, c.nodes, c._phase, a.modes):
+    for grid in (a, c):
+        assert sorted(vars(grid)) == ["m", "nodes", "offset"]
+    for arr in (a.nodes, c.nodes, a.modes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -475,7 +475,6 @@ def test_equal_grids_share_read_only_tables():
         modes = np.fft.fftfreq(M, 1.0 / M).astype(int)
         assert np.array_equal(grid.nodes, np.exp(2j * np.pi * (t + grid.offset) / M))
         assert np.array_equal(grid.modes, modes)
-        assert np.array_equal(grid._phase, np.exp(-2j * np.pi * modes * grid.offset / M))
 
 
 @pytest.mark.parametrize("m", [4, 12, 17])
@@ -504,10 +503,10 @@ def test_plain_grid_phase_view_matches_the_materialised_table(m):
 
 
 def test_grid_tables_keep_no_uninformative_memory():
-    # an m = 17 grid pair keeps its two node tables and the half-offset phase
-    # (3 x 2 MiB, plus 64 KiB for the array and cache objects); reading the
-    # modes adds their one 1 MiB table, shared by both offsets.  A small grid
-    # is built first, so that numpy's lazily imported fft module is not counted
+    # an m = 17 grid pair keeps its two node tables (2 x 2 MiB, plus 64 KiB for
+    # the array and cache objects); reading the modes adds their one 1 MiB
+    # table, shared by both offsets.  A small grid is built first, so that
+    # numpy's lazily imported fft module is not counted
     BoundaryGrid(4, 0.5).modes
     boundary._grid_tables.cache_clear()
     boundary._modes.cache_clear()
@@ -519,5 +518,43 @@ def test_grid_tables_keep_no_uninformative_memory():
         added = tracemalloc.get_traced_memory()[0] - kept
     finally:
         tracemalloc.stop()
-    assert kept <= 3 * (2 << 20) + (64 << 10)
+    assert kept <= 2 * (2 << 20) + (64 << 10)
     assert added <= (1 << 20) + (64 << 10)
+
+
+def test_radix2_transforms_cache_nothing_beyond_the_grid_nodes(rng):
+    # 2^17- and 2^18-point transforms in both directions read their twiddles
+    # from the plain node tables of m = 17 and 18 and keep nothing else: not
+    # the modes, not a twiddle table, not a phase
+    x18 = rng.normal(size=1 << 18) + 1j * rng.normal(size=1 << 18)
+    x17 = x18[: 1 << 17].copy()
+    boundary._fft(x17[:16])  # numpy's lazily imported fft module is not counted
+    boundary._grid_tables.cache_clear()
+    boundary._modes.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for x in (x17, x18):
+            for inverse in (False, True):
+                boundary._fft(x, inverse)  # its result is dropped at once
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    nodes = [boundary._grid_tables(m, 0.0) for m in (17, 18)]
+    assert boundary._grid_tables.cache_info().currsize == 2  # read, not built, just now
+    assert boundary._modes.cache_info().currsize == 0
+    assert kept <= sum(t.nbytes for t in nodes) + (64 << 10)
+    for m, table in zip((17, 18), nodes):
+        assert table is BoundaryGrid(m).nodes
+
+
+def test_from_spectrum_peaks_at_two_sample_sized_arrays(rng):
+    # m = 17: the divided spectrum, inverted in place, and the radix-2 step's two
+    # half-length parts; the 32 KiB chunk buffer of the phase and of the
+    # twiddles fits in the 64 KiB slack
+    for offset in (0.0, 0.5):
+        grid = BoundaryGrid(17, offset)
+        spec = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        BoundaryFunction.from_spectrum(grid, spec.copy())  # builds the shared tables
+        assert transient_peak(lambda: BoundaryFunction.from_spectrum(grid, spec)) <= (
+            2 * (2 << 20) + (64 << 10))
